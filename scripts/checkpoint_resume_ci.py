@@ -62,7 +62,7 @@ def main() -> int:
 
     # 1. sequential golden
     golden = run(cli("--out", golden_path, "--json"))
-    golden_summary = json.loads(golden.stdout)
+    golden_summary = json.loads(golden.stdout)["payload"]
 
     # 2. parallel checkpointed run, killed mid-flight
     proc = subprocess.Popen(
@@ -95,7 +95,7 @@ def main() -> int:
     resumed = run(
         cli("--jobs", JOBS, "--checkpoint-dir", ckpt, "--out", resumed_path, "--json")
     )
-    resumed_summary = json.loads(resumed.stdout)
+    resumed_summary = json.loads(resumed.stdout)["payload"]
 
     # 5. byte-identical suites, matching counters
     with open(golden_path, "rb") as fh:

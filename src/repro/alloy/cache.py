@@ -196,8 +196,8 @@ class CNFCache:
     def as_metrics(self) -> dict[str, int]:
         """The :class:`repro.obs.Stats` protocol: raw summable counters.
 
-        ``compile_warm_entries`` sums per *cache instance* — each worker
-        counts its own disk layer's pre-existing entries once — so a
+        ``compile_warm_entries`` is a gauge, not a counter: deltas keep
+        it and merges take the maximum (:mod:`repro.obs.metrics`), so a
         merged nonzero value means at least one worker started warm.
         """
         return {

@@ -11,31 +11,38 @@ The stable call form takes a :class:`SynthesisOptions` value::
     result = synthesize(model, SynthesisOptions(bound=4, jobs=4))
 
 Oracle configuration travels as one :class:`OracleSpec` value
-(``SynthesisOptions(bound=4, oracle_spec=OracleSpec(oracle="relational"))``);
-the four loose fields (``oracle``/``incremental``/``cnf_cache_dir``/
-``prefilter``) still work through a shim but emit a
-:class:`DeprecationWarning`.  The pre-1.1 loose-keyword call form
-(``synthesize(model, bound, axioms=..., ...)``) was removed in 1.2 and
-now raises :class:`TypeError`.  ``jobs > 1`` (or a ``checkpoint_dir``)
-routes the run through the sharded multiprocess runtime in
-:mod:`repro.exec`; its merged output is byte-identical to the
-sequential run.
+(``SynthesisOptions(bound=4, oracle_spec=OracleSpec(oracle="relational"))``).
+
+:func:`synthesize_shard` is the one per-candidate loop.  Every run is a set of
+shards folded by the same order-restoring merge: a plain ``jobs=1`` run
+is a single in-process shard over the unsharded stream, while ``jobs >
+1`` (or ``shards``/``checkpoint_dir``) partitions the stream and fans
+the shards out through :mod:`repro.exec`.  The merged output is
+byte-identical for every job and shard count.
 """
 
 from __future__ import annotations
 
+import hashlib
+import os
 import time
-import warnings
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.litmus.test import LitmusTest
 from repro.models.base import MemoryModel
-from repro.obs import current_registry
+from repro.obs import (
+    MetricsRegistry,
+    Tracer,
+    metrics_delta,
+    metrics_of,
+    null_tracer,
+    use_registry,
+)
 from repro.core.canonical import canonical_form
-from repro.core.enumerator import EnumerationConfig, enumerate_tests
+from repro.core.enumerator import EnumerationConfig, enumerate_shard
 from repro.core.minimality import CriterionMode, MinimalityChecker
-from repro.core.suite import TestSuite
+from repro.core.suite import outcome_to_dict, test_to_dict
 
 __all__ = [
     "OracleSpec",
@@ -45,7 +52,9 @@ __all__ = [
     "RESULT_SCHEMA_VERSION",
     "ORACLES",
     "build_checker",
+    "fingerprint",
     "run_sequential",
+    "synthesize_shard",
     "synthesize",
 ]
 
@@ -71,12 +80,11 @@ EARLY_REJECT = "early-reject"
 class OracleSpec:
     """The oracle configuration of one synthesis run, as a single value.
 
-    Bundles everything that selects and tunes the criterion oracle —
-    the four knobs that used to travel as loose
-    :class:`SynthesisOptions` fields.  One ``OracleSpec`` is consumed
-    identically by the sequential loop, every shard worker, and the
-    service daemon's resident pools, so the same value always resolves
-    to the same pipeline (and the same request fingerprint).
+    Bundles everything that selects and tunes the criterion oracle.
+    One ``OracleSpec`` is consumed identically by in-process runs, every
+    pool worker, and the service daemon's resident pools, so the same
+    value always resolves to the same pipeline (and the same request
+    fingerprint).
 
     Attributes:
         oracle: which execution oracle answers criterion queries —
@@ -127,10 +135,6 @@ class OracleSpec:
         return cls(**payload)
 
 
-#: the loose ``SynthesisOptions`` names the deprecation shim still accepts
-_SPEC_FIELDS = ("oracle", "incremental", "cnf_cache_dir", "prefilter")
-
-
 @dataclass
 class SynthesisOptions:
     """Everything ``synthesize`` needs besides the model itself.
@@ -146,13 +150,13 @@ class SynthesisOptions:
             used by tests and suite-from-corpus workflows; incompatible
             with ``jobs > 1`` / checkpointing).
         progress: callback invoked with the running candidate count —
-            every 1000 candidates sequentially, after each completed
-            shard in parallel runs.
+            every 1000 candidates in an unsharded run, after each
+            completed shard in a sharded one.
         progress_events: callback invoked with structured progress
             event dicts (always carrying a ``"phase"`` key) — periodic
-            ``enumerate`` events plus a final ``finish`` event
-            sequentially, one ``shard`` event per completed shard in
-            parallel runs.  Process-local (never serializes); the
+            ``enumerate`` events plus a final ``finish`` event in an
+            unsharded run, one ``shard`` event per completed shard in a
+            sharded one.  Process-local (never serializes); the
             service daemon wires it to the streamed ``job-progress``
             wire messages.
         reject: opt-in early filter passed to the enumerator; candidates
@@ -161,24 +165,21 @@ class SynthesisOptions:
             filter per worker (plain callables only work with ``jobs=1``
             unless they are picklable).  Ignored when an explicit
             ``candidates`` stream is supplied.
-        jobs: worker process count; ``jobs > 1`` runs the sharded
-            multiprocess runtime (:mod:`repro.exec`).
+        jobs: worker process count; ``jobs > 1`` fans the shards out
+            over a process pool (:mod:`repro.exec`).
         checkpoint_dir: directory for shard-level checkpoints; a rerun
             with the same options resumes, skipping completed shards.
-        shards: total shard count for parallel runs (default:
-            ``4 * jobs`` — small enough to amortize worker warm-up,
-            large enough for balance and useful checkpoint granularity).
+        shards: total shard count (default: one unsharded shard for a
+            plain ``jobs=1`` run, else ``4 * jobs`` — small enough to
+            amortize worker warm-up, large enough for balance and useful
+            checkpoint granularity).
         oracle_spec: the oracle configuration (:class:`OracleSpec`) —
             backend choice plus the relational oracle's incremental /
-            CNF-cache / prefilter knobs.  The loose constructor
-            arguments ``oracle=`` / ``incremental=`` / ``cnf_cache_dir=``
-            / ``prefilter=`` (and the matching read-only attributes)
-            still work but are deprecated shims over this field.
+            CNF-cache / prefilter knobs.
         trace_dir: optional directory for :mod:`repro.obs` trace files
             (driver phase spans, per-shard span/counter streams, and the
-            deterministic ``merged.jsonl``).  Setting it routes the run
-            through the sharded runtime even at ``jobs=1`` so the merged
-            trace is byte-identical for every job count; render with
+            deterministic ``merged.jsonl``, byte-identical for every job
+            count).  Tracing never changes which code runs; render with
             ``repro report``.
     """
 
@@ -250,69 +251,16 @@ class SynthesisOptions:
         return self.reject  # a callable or None
 
 
-# -- the deprecated loose-field shim over SynthesisOptions.oracle_spec --------
-#
-# Pre-1.2 code wrote ``SynthesisOptions(bound=4, oracle="relational")`` and
-# read ``opts.oracle``.  Both still work — the constructor folds the loose
-# keywords into an OracleSpec and matching read-only properties alias into
-# it — but each direction warns, because OracleSpec is the one
-# non-deprecated way to carry oracle configuration.
-
-_dataclass_options_init = SynthesisOptions.__init__
-
-
-def _options_init(self: SynthesisOptions, *args: object, **kwargs: object) -> None:
-    loose = {name: kwargs.pop(name) for name in _SPEC_FIELDS if name in kwargs}
-    if loose:
-        if "oracle_spec" in kwargs:
-            raise TypeError(
-                "pass either oracle_spec or the loose oracle fields "
-                f"({sorted(loose)}), not both"
-            )
-        warnings.warn(
-            "passing oracle/incremental/cnf_cache_dir/prefilter to "
-            "SynthesisOptions is deprecated; bundle them as "
-            "SynthesisOptions(oracle_spec=OracleSpec(...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        kwargs["oracle_spec"] = OracleSpec(**loose)  # type: ignore[arg-type]
-    _dataclass_options_init(self, *args, **kwargs)  # type: ignore[arg-type]
-
-
-_options_init.__name__ = "__init__"
-SynthesisOptions.__init__ = _options_init  # type: ignore[method-assign]
-
-
-def _spec_alias(name: str) -> property:
-    def _get(self: SynthesisOptions) -> object:
-        warnings.warn(
-            f"SynthesisOptions.{name} is deprecated; read "
-            f"options.oracle_spec.{name} instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(self.oracle_spec, name)
-
-    _get.__name__ = name
-    _get.__doc__ = f"Deprecated alias for ``oracle_spec.{name}`` (warns)."
-    return property(_get)
-
-
-for _name in _SPEC_FIELDS:
-    setattr(SynthesisOptions, _name, _spec_alias(_name))
-del _name
-
-
 @dataclass
 class SynthesisResult:
     """Per-axiom suites, the union suite, and bookkeeping counters.
 
     ``wall_seconds`` is elapsed real time for the whole run;
-    ``cpu_seconds`` is the summed busy time of every worker (equal to
-    ``wall_seconds`` for sequential runs, roughly ``jobs × wall`` for
-    well-balanced parallel ones).  ``axiom_seconds`` always sums *cpu*
-    time across workers, so its total can exceed ``wall_seconds``.
+    ``cpu_seconds`` is the summed busy time of every shard plus the
+    merge (about ``wall_seconds`` for in-process runs, roughly ``jobs ×
+    wall`` for well-balanced parallel ones).  ``axiom_seconds`` always
+    sums *cpu* time across workers, so its total can exceed
+    ``wall_seconds``.
     """
 
     model_name: str
@@ -328,18 +276,6 @@ class SynthesisResult:
     jobs: int = 1
     shard_count: int = 0
     oracle_stats: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def elapsed_seconds(self) -> float:
-        """Deprecated alias for :attr:`wall_seconds` (warns)."""
-        warnings.warn(
-            "SynthesisResult.elapsed_seconds is deprecated; read "
-            "wall_seconds (elapsed real time) or cpu_seconds (summed "
-            "worker busy time) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.wall_seconds
 
     def counts(self) -> dict:
         out: dict = {name: len(suite) for name, suite in self.per_axiom.items()}
@@ -411,10 +347,11 @@ def build_checker(
 ) -> MinimalityChecker:
     """Build the minimality checker for one :class:`OracleSpec`.
 
-    Shared by the sequential loop, every shard worker, and the service
+    Shared by in-process runs, every pool worker, and the service
     daemon's resident pools, so every path resolves the same spec to
     the exact same pipeline.
     """
+    mode = CriterionMode(mode)
     if spec is None:
         spec = OracleSpec()
     if spec.oracle == "relational":
@@ -495,18 +432,9 @@ def synthesize(
             "the loose-keyword form was removed in 1.2 — build the options "
             "value explicitly: synthesize(model, SynthesisOptions(bound=...))"
         )
-    opts = options
+    from repro.exec.runtime import run_sharded
 
-    if (
-        opts.jobs > 1
-        or opts.shards is not None
-        or opts.checkpoint_dir is not None
-        or opts.trace_dir is not None
-    ):
-        from repro.exec import run_sharded
-
-        return run_sharded(model, opts)
-    return run_sequential(model, opts)
+    return run_sharded(model, options)
 
 
 def run_sequential(
@@ -514,98 +442,160 @@ def run_sequential(
     opts: SynthesisOptions,
     checker: MinimalityChecker | None = None,
 ) -> SynthesisResult:
-    """The sequential synthesis loop, optionally over a resident checker.
+    """Run one synthesis in this process, optionally over a resident
+    checker (``opts.jobs`` is ignored).
 
-    ``checker`` lets a long-lived host (the :mod:`repro.service` worker
-    pool) inject a warm :class:`MinimalityChecker` whose oracle caches —
-    analysis memos, incremental solver sessions, the CNF compilation
-    cache — survive across calls.  It must have been built for the same
-    model and oracle configuration as ``opts`` (see
-    :func:`build_checker`); when omitted, a fresh one is built, which is
-    exactly what ``synthesize`` does for one-shot runs.  Note that with
-    a resident checker the returned ``oracle_stats`` are the oracle's
-    *cumulative* counters, not this call's delta — residency is the
-    point.
+    ``checker`` lets a long-lived host inject a warm
+    :class:`MinimalityChecker` whose oracle caches — analysis memos,
+    incremental solver sessions, the CNF compilation cache — survive
+    across calls.  It must have been built for the same model and
+    oracle configuration as ``opts`` (see :func:`build_checker`); when
+    omitted, a fresh one is built.  The returned ``oracle_stats`` are
+    this run's share of the oracle's counters either way.
     """
-    start = time.perf_counter()
-    config = opts.resolved_config(model)
-    axiom_names = opts.axiom_names(model)
-    if checker is None:
-        checker = build_checker(model, opts.mode, opts.oracle_spec)
-    per_axiom = {
-        name: TestSuite(model.name, name, opts.exact_symmetry)
-        for name in axiom_names
-    }
-    union = TestSuite(model.name, "union", opts.exact_symmetry)
-    axiom_seconds = {name: 0.0 for name in axiom_names}
+    from repro.exec.runtime import run_sharded
 
-    stream = (
-        opts.candidates
-        if opts.candidates is not None
-        else enumerate_tests(
-            model.vocabulary, config, reject=opts.resolved_reject(model)
-        )
+    return run_sharded(model, replace(opts, jobs=1), checker=checker)
+
+
+def fingerprint(test: LitmusTest) -> str:
+    """A stable short digest of a test's structure.
+
+    Used to count *globally* unique canonical forms across shards without
+    shipping the tests themselves: each shard digests its locally-unique
+    canonical forms, and the merge unions the digest sets.  Digests are
+    content-derived (no ``hash()`` — that is salted per interpreter), so
+    they agree across worker processes and across runs.  The alias map
+    joins the payload only when present, so digests of consistency-only
+    tests (and the checkpoints holding them) are unchanged.
+    """
+    fields: tuple = (
+        test.threads,
+        sorted(test.rmw),
+        sorted(test.deps),
+        test.scopes,
     )
+    if test.addr_map is not None:
+        fields += (test.addr_map,)
+    return hashlib.blake2b(repr(fields).encode(), digest_size=8).hexdigest()
+
+
+def synthesize_shard(
+    model: MemoryModel,
+    opts: SynthesisOptions,
+    checker: MinimalityChecker,
+    shard: tuple[int, int] = (0, 1),
+) -> dict:
+    """The synthesis loop over one shard of the candidate stream.
+
+    Streams ``opts.candidates`` (each candidate its own work item) or
+    the enumerator's ``shard=(index, count)`` slice — ``(0, 1)`` is the
+    whole unsharded stream — canonicalizes, and checks each new
+    canonical class for minimality per axiom.  Returns a *shard result*:
+    plain JSON, so the same payload serves the process pipe and the
+    checkpoint file::
+
+        {"shard": index,
+         "records": [{"item": <global work-item ordinal>,
+                      "pos":  <candidate position within the item>,
+                      "test": <test_to_dict form>,
+                      "minimal_for": [axiom, ...],   # axiom-check order
+                      "witnesses": {axiom: <outcome_to_dict form>}}],
+         "stats": {"candidates", "unique", "digests", "axiom_seconds",
+                   "cpu_seconds", "oracle"}}
+
+    ``(item, pos)`` is a global sort key: ordering every shard's records
+    by it reconstructs the unsharded candidate order, which is what lets
+    :mod:`repro.exec.merge` produce byte-identical suites.  ``oracle``
+    is this shard's share of ``checker``'s counters (a resident checker
+    persists across shards and runs).  ``opts.progress`` /
+    ``opts.progress_events`` hear every 1000th candidate; with
+    ``opts.trace_dir`` the shard streams a span + counters trace to
+    ``shard-NNNN.jsonl``.
+    """
+    t0 = time.perf_counter()
+    index = shard[0]
+    axiom_names = opts.axiom_names(model)
+    if opts.candidates is not None:
+        stream: Iterable[tuple[int, LitmusTest]] = enumerate(opts.candidates)
+    else:
+        stream = enumerate_shard(
+            model.vocabulary,
+            opts.resolved_config(model),
+            shard=shard,
+            reject=opts.resolved_reject(model),
+        )
     progress = opts.progress
     events = opts.progress_events
+    axiom_seconds = {name: 0.0 for name in axiom_names}
     seen: set[LitmusTest] = set()
+    digests: list[str] = []
+    records: list[dict] = []
     n_candidates = 0
-    n_unique = 0
-    n_minimal = 0
-    for test in stream:
-        n_candidates += 1
-        if n_candidates % 1000 == 0:
-            if progress is not None:
-                progress(n_candidates)
-            if events is not None:
-                events({"phase": "enumerate", "candidates": n_candidates})
-        canon = canonical_form(test)
-        if canon in seen:
-            continue
-        seen.add(canon)
-        n_unique += 1
-        minimal_for: list[str] = []
-        witness = None
-        for name in axiom_names:
-            t0 = time.perf_counter()
-            result = checker.check(test, name)
-            axiom_seconds[name] += time.perf_counter() - t0
-            if result.is_minimal:
-                minimal_for.append(name)
-                witness = result.witness
-                per_axiom[name].add(test, result.witness, [name])
-        if minimal_for:
-            n_minimal += 1
-            assert witness is not None
-            union.add(test, witness, minimal_for)
-
-    elapsed = time.perf_counter() - start
-    if events is not None:
-        events(
-            {
-                "phase": "finish",
-                "candidates": n_candidates,
-                "unique": n_unique,
-                "minimal": n_minimal,
-            }
-        )
-    registry = current_registry()
-    registry.count("candidates", n_candidates)
-    registry.count("unique_candidates", n_unique)
-    registry.count("minimal_tests", n_minimal)
-    cache_stats = getattr(checker.oracle, "cache_stats", None)
-    return SynthesisResult(
-        model_name=model.name,
-        bound=opts.bound,
-        per_axiom=per_axiom,
-        union=union,
-        candidates=n_candidates,
-        unique_candidates=n_unique,
-        minimal_tests=n_minimal,
-        wall_seconds=elapsed,
-        cpu_seconds=elapsed,
-        axiom_seconds=axiom_seconds,
-        jobs=1,
-        shard_count=0,
-        oracle_stats=cache_stats() if cache_stats is not None else {},
+    current_item = -1
+    pos = 0
+    oracle_before = metrics_of(checker.oracle)
+    tracer = (
+        Tracer(os.path.join(opts.trace_dir, f"shard-{index:04d}.jsonl"))
+        if opts.trace_dir is not None
+        else null_tracer()
     )
+    registry = MetricsRegistry()
+    with tracer, use_registry(registry):
+        with tracer.span("shard", shard=index) as shard_span:
+            for item, test in stream:
+                if item != current_item:
+                    current_item, pos = item, 0
+                else:
+                    pos += 1
+                n_candidates += 1
+                if n_candidates % 1000 == 0:
+                    if progress is not None:
+                        progress(n_candidates)
+                    if events is not None:
+                        events({"phase": "enumerate", "candidates": n_candidates})
+                canon = canonical_form(test)
+                if canon in seen:
+                    continue
+                seen.add(canon)
+                digests.append(fingerprint(canon))
+                minimal_for: list[str] = []
+                witnesses: dict[str, dict] = {}
+                for name in axiom_names:
+                    t_ax = time.perf_counter()
+                    result = checker.check(test, name)
+                    axiom_seconds[name] += time.perf_counter() - t_ax
+                    if result.is_minimal:
+                        assert result.witness is not None
+                        minimal_for.append(name)
+                        witnesses[name] = outcome_to_dict(result.witness)
+                if minimal_for:
+                    records.append(
+                        {
+                            "item": item,
+                            "pos": pos,
+                            "test": test_to_dict(test),
+                            "minimal_for": minimal_for,
+                            "witnesses": witnesses,
+                        }
+                    )
+            shard_span.annotate(
+                candidates=n_candidates, unique=len(seen), minimal=len(records)
+            )
+        oracle_delta = metrics_delta(oracle_before, metrics_of(checker.oracle))
+        registry.count("candidates", n_candidates)
+        registry.count("unique_candidates", len(seen))
+        registry.count("minimal_records", len(records))
+        tracer.counters({**registry.as_metrics(), **oracle_delta}, shard=index)
+    return {
+        "shard": index,
+        "records": records,
+        "stats": {
+            "candidates": n_candidates,
+            "unique": len(seen),
+            "digests": digests,
+            "axiom_seconds": axiom_seconds,
+            "cpu_seconds": time.perf_counter() - t0,
+            "oracle": oracle_delta,
+        },
+    }

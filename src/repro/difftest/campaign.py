@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import os
-import warnings
 from dataclasses import asdict, dataclass, field
 
 from repro.core.synthesis import OracleSpec
@@ -87,8 +86,7 @@ class CampaignOptions:
     #: the oracle configuration (only ``prefilter`` steers a campaign
     #: today: route the relational oracle through the polynomial static
     #: prefilter, which also exercises its agreement with the explicit
-    #: oracle).  The loose ``prefilter=`` argument and attribute remain
-    #: as deprecated shims over this field.
+    #: oracle).
     oracle_spec: OracleSpec = field(default_factory=OracleSpec)
     #: optional :mod:`repro.obs` trace directory (driver phase spans +
     #: the deterministic merged discrepancy stream)
@@ -104,47 +102,6 @@ class CampaignOptions:
                 "oracle_spec must be an OracleSpec, got "
                 f"{type(self.oracle_spec).__name__}"
             )
-
-
-# -- the deprecated loose-field shim (mirrors SynthesisOptions's) -------------
-
-_dataclass_campaign_init = CampaignOptions.__init__
-
-
-def _campaign_init(self: CampaignOptions, *args: object, **kwargs: object) -> None:
-    if "prefilter" in kwargs:
-        if "oracle_spec" in kwargs:
-            raise TypeError(
-                "pass either oracle_spec or the loose prefilter field, "
-                "not both"
-            )
-        warnings.warn(
-            "passing prefilter to CampaignOptions is deprecated; bundle "
-            "it as CampaignOptions(oracle_spec=OracleSpec(prefilter=...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        kwargs["oracle_spec"] = OracleSpec(
-            prefilter=bool(kwargs.pop("prefilter"))
-        )
-    _dataclass_campaign_init(self, *args, **kwargs)  # type: ignore[arg-type]
-
-
-_campaign_init.__name__ = "__init__"
-CampaignOptions.__init__ = _campaign_init  # type: ignore[method-assign]
-
-
-def _campaign_prefilter(self: CampaignOptions) -> bool:
-    warnings.warn(
-        "CampaignOptions.prefilter is deprecated; read "
-        "options.oracle_spec.prefilter instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return self.oracle_spec.prefilter
-
-
-CampaignOptions.prefilter = property(_campaign_prefilter)  # type: ignore[attr-defined]
 
 
 @dataclass
@@ -394,13 +351,13 @@ def _run_campaign(options: CampaignOptions, tracer: Tracer) -> CampaignReport:
 
     # 2. Fuzz, fanned out over deterministic shards.
     with tracer.span("fuzz") as fuzz_span:
-        plan = plan_shards(options.jobs, options.shards)
-        payload = _ShardPayload(options, plan.count)
+        shard_count = plan_shards(options.jobs, options.shards)
+        payload = _ShardPayload(options, shard_count)
         task = FanoutTask(
             setup=_setup_worker,
             work=_run_shard,
             payload=payload,
-            shard_count=plan.count,
+            shard_count=shard_count,
         )
         results = run_fanout(task, options.jobs)
         tests_run = sum(r["tests"] for r in results)

@@ -1,10 +1,12 @@
-"""Sharded multiprocess synthesis runtime.
+"""The synthesis runtime: plan, checkpoint, fan out, merge.
 
-The synthesis loop is embarrassingly parallel — every candidate's
-minimality check is independent — so this package splits the candidate
-space into deterministic shards, fans them out over a worker pool, and
-merges the streams back into suites byte-identical to the sequential
-run.  Shard results double as checkpoints, so a killed run resumes.
+The synthesis loop (:func:`repro.core.synthesis.synthesize_shard`) is
+embarrassingly parallel — every candidate's minimality check is
+independent — so this package splits the candidate space into
+deterministic shards, runs them in process or over a worker pool, and
+merges the streams back into suites byte-identical for every job count.
+A plain ``jobs=1`` run is a single in-process shard through the same
+merge.  Shard results double as checkpoints, so a killed run resumes.
 
 Users normally reach this through the public API::
 
@@ -15,11 +17,10 @@ Users normally reach this through the public API::
 Modules:
 
 * :mod:`repro.exec.sharding`   — shard planning / over-partitioning
-* :mod:`repro.exec.worker`     — per-process pipeline and shard loop
 * :mod:`repro.exec.merge`      — order-restoring deterministic merge
 * :mod:`repro.exec.checkpoint` — JSONL shard store with run fingerprint
-* :mod:`repro.exec.runtime`    — the pool driver tying it together
-* :mod:`repro.exec.fanout`     — generic deterministic shard fan-out
+* :mod:`repro.exec.runtime`    — the driver tying it together
+* :mod:`repro.exec.fanout`     — the one process-pool primitive
 """
 
 from repro.exec.checkpoint import (
@@ -34,12 +35,12 @@ from repro.exec.fanout import (
     ResidentProcess,
     ResidentTask,
     WorkerDied,
+    fanout,
     run_fanout,
 )
 from repro.exec.merge import merge_shards
 from repro.exec.runtime import run_sharded
-from repro.exec.sharding import DEFAULT_SHARDS_PER_JOB, ShardPlan, plan_shards
-from repro.exec.worker import WorkerTask, compute_shard, fingerprint
+from repro.exec.sharding import DEFAULT_SHARDS_PER_JOB, plan_shards
 
 __all__ = [
     "CheckpointError",
@@ -51,13 +52,10 @@ __all__ = [
     "ResidentProcess",
     "ResidentTask",
     "WorkerDied",
+    "fanout",
     "run_fanout",
     "merge_shards",
     "run_sharded",
     "DEFAULT_SHARDS_PER_JOB",
-    "ShardPlan",
     "plan_shards",
-    "WorkerTask",
-    "compute_shard",
-    "fingerprint",
 ]

@@ -20,8 +20,9 @@ import json
 import os
 from dataclasses import asdict
 
+from repro.core.minimality import CriterionMode
 from repro.core.synthesis import SynthesisOptions
-from repro.exec.worker import WorkerTask
+from repro.models.base import MemoryModel
 
 __all__ = [
     "CheckpointError",
@@ -39,33 +40,35 @@ class CheckpointError(RuntimeError):
     """The checkpoint directory does not match the requested run."""
 
 
-def run_fingerprint(task: WorkerTask, opts: SynthesisOptions) -> dict:
+def run_fingerprint(
+    model: MemoryModel, opts: SynthesisOptions, shard_count: int
+) -> dict:
     """The identity a checkpoint directory is bound to.
 
     Everything that changes the per-shard output is included; knobs that
     only change scheduling (``jobs``) or reporting (``progress``) are
     deliberately left out so a resume may use a different worker count.
     """
-    reject = task.reject
+    reject = opts.reject
     if callable(reject):
         # Callables have no stable cross-run identity; record the best
         # name available so at least blatant mismatches are caught.
         reject = f"callable:{getattr(reject, '__qualname__', repr(reject))}"
     return {
         "meta_version": _META_VERSION,
-        "model": task.model_name,
-        "bound": task.bound,
-        "axioms": list(task.axioms) if task.axioms is not None else None,
-        "mode": task.mode_value,
-        "config": asdict(task.config),
+        "model": model.name,
+        "bound": opts.bound,
+        "axioms": list(opts.axioms) if opts.axioms is not None else None,
+        "mode": CriterionMode(opts.mode).value,
+        "config": asdict(opts.resolved_config(model)),
         "exact_symmetry": opts.exact_symmetry,
-        "shard_count": task.shard_count,
+        "shard_count": shard_count,
         "reject": reject,
         # the oracle backend determines the shard stats payload (and is
         # the knob equivalence claims are made against), so a resume must
         # not switch it mid-run; ``incremental``/``cnf_cache_dir`` are
         # pure wall-clock knobs and stay out, like ``jobs``
-        "oracle": task.spec.oracle,
+        "oracle": opts.oracle_spec.oracle,
     }
 
 

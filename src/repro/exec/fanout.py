@@ -1,11 +1,11 @@
-"""Generic deterministic shard fan-out.
+"""Deterministic shard fan-out: the one process-pool primitive.
 
-:mod:`repro.exec.runtime` hard-wires the synthesis pipeline into its
-worker pool.  Other shardable workloads (the differential-testing
-campaigns of :mod:`repro.difftest`) need the same machinery — build
-per-process state once via a pool initializer, ship only shard indices
-across the pipe, restore a deterministic order afterwards — without the
-synthesis-specific payload.  This module factors that shape out.
+Every shardable workload — the synthesis runtime
+(:mod:`repro.exec.runtime`) and the differential-testing campaigns of
+:mod:`repro.difftest` — runs through here: build per-process state once,
+ship only shard indices across the pipe, and let the caller restore a
+deterministic order afterwards.  This is the only module that imports
+:mod:`multiprocessing`.
 
 A :class:`FanoutTask` names two module-level functions (picklable by
 reference under both fork and spawn start methods):
@@ -13,11 +13,12 @@ reference under both fork and spawn start methods):
 * ``setup(payload) -> state`` — runs once per worker process;
 * ``work(state, shard_index) -> result`` — runs once per shard.
 
-:func:`run_fanout` executes every shard and returns the results ordered
-by shard index, so the caller's merge is independent of pool scheduling.
-``jobs=1`` runs in-process with no pool at all — the two paths produce
-identical results, which is what lets callers promise ``--jobs N``
-output is byte-identical to sequential.
+:func:`fanout` streams ``(index, result)`` pairs in completion order, so
+callers can checkpoint and report progress per shard; :func:`run_fanout`
+collects every shard ordered by index.  ``jobs=1`` runs in-process with
+no pool at all — the two paths produce identical results, which is what
+lets callers promise ``--jobs N`` output is byte-identical to
+sequential.
 
 A second shape lives here for long-lived hosts: :class:`ResidentProcess`
 runs a :class:`ResidentTask` in one dedicated child process that
@@ -29,7 +30,7 @@ daemon's process-backed worker pool is built on.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from typing import Any
 
@@ -39,6 +40,7 @@ __all__ = [
     "ResidentTask",
     "RemoteJobError",
     "WorkerDied",
+    "fanout",
     "run_fanout",
 ]
 
@@ -63,28 +65,42 @@ class FanoutTask:
             )
 
 
+def fanout(
+    task: FanoutTask, indices: Iterable[int] | None = None, jobs: int = 1
+) -> Iterator[tuple[int, Any]]:
+    """Run ``task``'s shards over ``jobs`` workers, streaming results.
+
+    Runs every shard, or only ``indices`` (a resume's pending set), and
+    yields ``(index, result)`` as each shard completes — in index order
+    in-process, in completion order from a pool.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    pending = list(range(task.shard_count) if indices is None else indices)
+    if not pending:
+        return
+    if jobs == 1:
+        state = task.setup(task.payload)
+        for index in pending:
+            yield index, task.work(state, index)
+        return
+    import multiprocessing as mp
+
+    with mp.Pool(
+        processes=min(jobs, len(pending)),
+        initializer=_init_worker,
+        initargs=(task,),
+    ) as pool:
+        yield from pool.imap_unordered(_run_shard, pending, chunksize=1)
+
+
 def run_fanout(task: FanoutTask, jobs: int = 1) -> list[Any]:
     """Run every shard of ``task`` over ``jobs`` workers.
 
     Returns one result per shard, ordered by shard index regardless of
     completion order.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1:
-        state = task.setup(task.payload)
-        return [task.work(state, i) for i in range(task.shard_count)]
-    import multiprocessing as mp
-
-    with mp.Pool(
-        processes=min(jobs, task.shard_count),
-        initializer=_init_worker,
-        initargs=(task,),
-    ) as pool:
-        indexed = list(
-            pool.imap_unordered(_run_shard, range(task.shard_count))
-        )
-    indexed.sort(key=lambda pair: pair[0])
+    indexed = sorted(fanout(task, jobs=jobs), key=lambda pair: pair[0])
     return [result for _, result in indexed]
 
 
@@ -237,7 +253,7 @@ class ResidentProcess:
         self._reap()
 
 
-# -- pool plumbing (mirrors repro.exec.worker) --------------------------------
+# -- pool plumbing -----------------------------------------------------------
 
 _TASK: FanoutTask | None = None
 _STATE: Any = None

@@ -1,12 +1,14 @@
 """Deterministic merge of shard results into a :class:`SynthesisResult`.
 
+Every run — a plain ``jobs=1`` run is one unsharded shard — ends here.
 Shards complete in nondeterministic order (pool scheduling), but every
 record carries its global ``(item, pos)`` enumeration coordinate, so
 sorting the union of all records by that key reconstructs the exact
-sequential candidate order.  Replaying suite insertion in that order —
+unsharded candidate order.  Replaying suite insertion in that order —
 including the cross-shard canonical-form dedup the per-shard loops could
-not see — makes the merged suites *byte-identical* to a ``jobs=1`` run:
-same representatives, same witnesses, same JSON serialization.
+not see — makes the merged suites *byte-identical* for every job and
+shard count: same representatives, same witnesses, same JSON
+serialization.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ import time
 
 from repro.core.canonical import canonical_form
 from repro.core.suite import TestSuite, outcome_from_dict, test_from_dict
-from repro.core.synthesis import SynthesisOptions, SynthesisResult
-from repro.exec.worker import fingerprint
+from repro.core.synthesis import SynthesisOptions, SynthesisResult, fingerprint
 from repro.litmus.test import LitmusTest
 from repro.models.base import MemoryModel
 from repro.obs import derive_rates, format_event, header_event, merge_metrics

@@ -1,44 +1,47 @@
-"""The sharded multiprocess synthesis driver.
+"""The synthesis driver every run goes through.
 
 ``run_sharded(model, opts)`` is what :func:`repro.core.synthesis.synthesize`
-dispatches to for ``jobs > 1`` or checkpointed runs:
+dispatches to, for every option set:
 
-1. plan the shard partition (:mod:`repro.exec.sharding`);
+1. plan the shard partition (:mod:`repro.exec.sharding`) — a plain
+   ``jobs=1`` run is a single shard over the unsharded stream;
 2. replay completed shards from the checkpoint store, if any;
-3. fan the remaining shards out over a ``multiprocessing`` pool whose
-   workers each own a full pipeline (:mod:`repro.exec.worker`),
-   checkpointing and reporting progress as each shard streams back;
+3. run the remaining shards through :func:`repro.exec.fanout.fanout` —
+   in this process for ``jobs=1``, over a process pool otherwise — with
+   each shard executing the one synthesis loop
+   (:func:`repro.core.synthesis.synthesize_shard`), checkpointing and reporting
+   progress as each shard completes;
 4. merge everything deterministically (:mod:`repro.exec.merge`).
 
-The merged result is byte-identical to the sequential run over the same
-options — parallelism and resume are pure wall-clock concerns.
+The merged result is byte-identical for every job and shard count —
+parallelism, resume and tracing are pure wall-clock concerns.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import pickle
 import time
+from dataclasses import replace
 
-from repro.core.minimality import CriterionMode
-from repro.core.synthesis import SynthesisOptions, SynthesisResult
+from repro.core.minimality import MinimalityChecker
+from repro.core.synthesis import (
+    SynthesisOptions,
+    SynthesisResult,
+    build_checker,
+    synthesize_shard,
+)
 from repro.exec.checkpoint import (
     CheckpointStore,
     run_fingerprint,
     saved_shard_count,
 )
+from repro.exec.fanout import FanoutTask, fanout
 from repro.exec.merge import merge_shards
 from repro.exec.sharding import plan_shards
-from repro.exec.worker import (
-    WorkerTask,
-    _WorkerState,
-    compute_shard,
-    init_worker,
-    run_shard,
-)
 from repro.models.base import MemoryModel
+from repro.models.registry import get_model
 from repro.obs import (
     TOOL_NAME,
     TRACE_SCHEMA_NAME,
@@ -71,34 +74,43 @@ def _write_trace_meta(trace_dir: str, model: MemoryModel, opts: SynthesisOptions
         fh.write("\n")
 
 
-def _worker_task(model: MemoryModel, opts: SynthesisOptions, shard_count: int) -> WorkerTask:
-    reject = opts.reject
-    if callable(reject) and opts.jobs > 1:
-        try:
-            pickle.dumps(reject)
-        except Exception as exc:
-            raise ValueError(
-                "a custom reject callable must be picklable to cross "
-                "worker process boundaries; pass repro.core.synthesis."
-                "EARLY_REJECT (or a module-level function) instead"
-            ) from exc
-    mode = opts.mode if isinstance(opts.mode, CriterionMode) else CriterionMode(opts.mode)
-    return WorkerTask(
-        model_name=model.name,
-        bound=opts.bound,
-        axioms=tuple(opts.axioms) if opts.axioms is not None else None,
-        mode_value=mode.value,
-        config=opts.resolved_config(model),
-        shard_count=shard_count,
-        reject=reject,
-        spec=opts.oracle_spec,
-        trace_dir=opts.trace_dir,
+# -- the fan-out task -----------------------------------------------------------
+#
+# Module-level so the task pickles by reference into pool workers.  The
+# payload is ``(model, opts, checker, shard_count)``: in process the model
+# object and an optional resident checker travel as-is; a pool ships the
+# model's registry name and no checker, and each worker builds its own
+# once.
+
+
+def _setup(payload: tuple) -> tuple:
+    model, opts, checker, shard_count = payload
+    if isinstance(model, str):
+        model = get_model(model)
+    if checker is None:
+        checker = build_checker(model, opts.mode, opts.oracle_spec)
+    return model, opts, checker, shard_count
+
+
+def _work(state: tuple, index: int) -> dict:
+    model, opts, checker, shard_count = state
+    return synthesize_shard(model, opts, checker, shard=(index, shard_count))
+
+
+def run_sharded(
+    model: MemoryModel,
+    opts: SynthesisOptions,
+    checker: MinimalityChecker | None = None,
+) -> SynthesisResult:
+    """Run one synthesis: plan, replay, fan out, merge.
+
+    ``checker`` is a resident checker for in-process (``jobs=1``) runs;
+    pool workers always build their own.
+    """
+    sharded = (
+        opts.jobs > 1 or opts.shards is not None or opts.checkpoint_dir is not None
     )
-
-
-def run_sharded(model: MemoryModel, opts: SynthesisOptions) -> SynthesisResult:
-    """Run one synthesis over shards, in parallel when ``jobs > 1``."""
-    if opts.candidates is not None:
+    if opts.candidates is not None and sharded:
         raise ValueError(
             "an explicit candidates stream cannot be sharded; "
             "run it with jobs=1 and no checkpoint_dir"
@@ -112,24 +124,25 @@ def run_sharded(model: MemoryModel, opts: SynthesisOptions) -> SynthesisResult:
 
     with tracer:
         with tracer.span("plan"):
-            shards = opts.shards
+            shards = opts.shards if sharded else 1
             if shards is None and opts.checkpoint_dir is not None:
                 # A resume may change jobs (scheduling) but never the
                 # partition: without an explicit shard count, adopt the
                 # checkpoint's.
                 shards = saved_shard_count(opts.checkpoint_dir)
-            plan = plan_shards(opts.jobs, shards)
-            task = _worker_task(model, opts, plan.count)
+            shard_count = plan_shards(opts.jobs, shards)
+            if opts.jobs > 1:
+                _check_picklable(opts.reject)
 
         with tracer.span("replay"):
             store: CheckpointStore | None = None
             completed: dict[int, dict] = {}
             if opts.checkpoint_dir is not None:
                 store = CheckpointStore(
-                    opts.checkpoint_dir, run_fingerprint(task, opts)
+                    opts.checkpoint_dir, run_fingerprint(model, opts, shard_count)
                 )
                 completed = store.load()
-            pending = [i for i in plan.indices() if i not in completed]
+            pending = [i for i in range(shard_count) if i not in completed]
 
         progress = opts.progress
         events = opts.progress_events
@@ -143,6 +156,8 @@ def run_sharded(model: MemoryModel, opts: SynthesisOptions) -> SynthesisResult:
             candidates_done += result["stats"]["candidates"]
             if store is not None:
                 store.record(result)
+            if not sharded:
+                return  # the loop itself reported progress
             if progress is not None:
                 progress(candidates_done)
             if events is not None:
@@ -150,7 +165,7 @@ def run_sharded(model: MemoryModel, opts: SynthesisOptions) -> SynthesisResult:
                     {
                         "phase": "shard",
                         "shard": result["shard"],
-                        "shards": plan.count,
+                        "shards": shard_count,
                         "candidates": result["stats"]["candidates"],
                         "unique": result["stats"]["unique"],
                         "minimal": len(result["records"]),
@@ -159,29 +174,49 @@ def run_sharded(model: MemoryModel, opts: SynthesisOptions) -> SynthesisResult:
                 )
 
         with tracer.span("shards", pending=len(pending)):
-            if opts.jobs == 1:
-                # In-process: same shard/merge/checkpoint path, no pool
-                # overhead.
-                state = _WorkerState(task)
-                for index in pending:
-                    finish(compute_shard(state, index))
-            elif pending:
-                with multiprocessing.get_context().Pool(
-                    processes=min(opts.jobs, len(pending)),
-                    initializer=init_worker,
-                    initargs=(task,),
-                ) as pool:
-                    for result in pool.imap_unordered(
-                        run_shard, pending, chunksize=1
-                    ):
-                        finish(result)
+            # A sharded loop reports per shard (above), not per candidate.
+            shard_opts = (
+                replace(opts, progress=None, progress_events=None)
+                if sharded
+                else opts
+            )
+            payload = (
+                (model, shard_opts, checker, shard_count)
+                if opts.jobs == 1
+                else (model.name, shard_opts, None, shard_count)
+            )
+            task = FanoutTask(_setup, _work, payload, shard_count)
+            for _, result in fanout(task, pending, opts.jobs):
+                finish(result)
 
         wall_seconds = time.perf_counter() - start
         with tracer.span("merge"):
-            return merge_shards(
+            result = merge_shards(
                 model,
                 opts,
                 list(completed.values()),
                 wall_seconds=wall_seconds,
-                shard_count=plan.count,
+                shard_count=shard_count if sharded else 0,
             )
+    if events is not None and not sharded:
+        events(
+            {
+                "phase": "finish",
+                "candidates": result.candidates,
+                "unique": result.unique_candidates,
+                "minimal": result.minimal_tests,
+            }
+        )
+    return result
+
+
+def _check_picklable(reject: object) -> None:
+    if callable(reject):
+        try:
+            pickle.dumps(reject)
+        except Exception as exc:
+            raise ValueError(
+                "a custom reject callable must be picklable to cross "
+                "worker process boundaries; pass repro.core.synthesis."
+                "EARLY_REJECT (or a module-level function) instead"
+            ) from exc

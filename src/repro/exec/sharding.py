@@ -16,9 +16,7 @@ checkpointed run is killed mid-shard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-__all__ = ["ShardPlan", "plan_shards", "DEFAULT_SHARDS_PER_JOB"]
+__all__ = ["plan_shards", "DEFAULT_SHARDS_PER_JOB"]
 
 #: shards allocated per worker process when the caller does not pin a
 #: total — enough granularity for balance and resume without drowning in
@@ -26,37 +24,15 @@ __all__ = ["ShardPlan", "plan_shards", "DEFAULT_SHARDS_PER_JOB"]
 DEFAULT_SHARDS_PER_JOB = 4
 
 
-@dataclass(frozen=True)
-class ShardPlan:
-    """The partition a parallel run executes over."""
-
-    jobs: int
-    count: int
-
-    def __post_init__(self) -> None:
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.count < 1:
-            raise ValueError(f"shard count must be >= 1, got {self.count}")
-
-    def shard(self, index: int) -> tuple[int, int]:
-        """The ``(index, count)`` pair to pass to the enumerator."""
-        if not 0 <= index < self.count:
-            raise ValueError(
-                f"shard index {index} out of range for {self.count} shards"
-            )
-        return (index, self.count)
-
-    def indices(self) -> range:
-        return range(self.count)
-
-
-def plan_shards(jobs: int, shards: int | None = None) -> ShardPlan:
-    """Pick the shard partition for ``jobs`` workers.
+def plan_shards(jobs: int, shards: int | None = None) -> int:
+    """The shard count a run over ``jobs`` workers executes.
 
     ``shards`` pins the total explicitly (checkpoint resume must reuse
     the original partition; the store validates this via its fingerprint).
     """
-    if shards is not None:
-        return ShardPlan(jobs=jobs, count=shards)
-    return ShardPlan(jobs=jobs, count=max(1, jobs) * DEFAULT_SHARDS_PER_JOB)
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    count = jobs * DEFAULT_SHARDS_PER_JOB if shards is None else shards
+    if count < 1:
+        raise ValueError(f"shard count must be >= 1, got {count}")
+    return count

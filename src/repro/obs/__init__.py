@@ -6,8 +6,8 @@ Three small layers, usable independently:
   streams with monotonic timings and parent/child nesting;
 - :mod:`repro.obs.metrics` — the :class:`Stats` protocol
   (``as_metrics()``), a process-local :class:`MetricsRegistry`, and the
-  shared :func:`derive_rates`/:func:`merge_metrics` helpers all stats
-  surfaces now go through;
+  shared :func:`derive_rates`/:func:`merge_metrics`/:func:`metrics_delta`
+  helpers all stats surfaces now go through;
 - :mod:`repro.obs.report` — the single :class:`Report` envelope every
   ``--json`` output and ``BENCH_*.json`` artifact is wrapped in, with a
   deprecating loader for pre-envelope documents.
@@ -22,6 +22,8 @@ from .metrics import (
     current_registry,
     derive_rates,
     merge_metrics,
+    metrics_delta,
+    metrics_of,
     use_registry,
 )
 from .render import (
@@ -51,6 +53,8 @@ __all__ = [
     "use_registry",
     "derive_rates",
     "merge_metrics",
+    "metrics_delta",
+    "metrics_of",
     "Report",
     "load_report",
     "TOOL_NAME",

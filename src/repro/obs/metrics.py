@@ -26,6 +26,8 @@ __all__ = [
     "use_registry",
     "derive_rates",
     "merge_metrics",
+    "metrics_delta",
+    "metrics_of",
 ]
 
 
@@ -125,14 +127,43 @@ def use_registry(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
         _REGISTRY_STACK.pop()
 
 
+#: snapshot keys that are gauges (absolute levels), not counters: a
+#: delta keeps their value and a merge takes the maximum
+GAUGES = frozenset({"compile_warm_entries"})
+
+
+def metrics_of(stats: object) -> dict[str, int | float]:
+    """A raw snapshot of anything implementing :class:`Stats` (else ``{}``)."""
+    as_metrics = getattr(stats, "as_metrics", None)
+    return dict(as_metrics()) if as_metrics is not None else {}
+
+
+def metrics_delta(
+    before: dict[str, int | float], after: dict[str, int | float]
+) -> dict[str, int | float]:
+    """What happened between two snapshots of one long-lived :class:`Stats`.
+
+    Counters subtract; gauges keep their absolute ``after`` value (a
+    startup constant minus itself would read 0 and hide it).
+    """
+    return {
+        key: value if key in GAUGES else value - before.get(key, 0)
+        for key, value in after.items()
+    }
+
+
 def merge_metrics(*snapshots: dict[str, int | float]) -> dict[str, int | float]:
-    """Key-wise sum of raw metric snapshots (rates are never summed)."""
+    """Key-wise sum of raw metric snapshots (rates are never summed;
+    gauges merge by maximum)."""
     total: dict[str, int | float] = {}
     for snap in snapshots:
         for key, value in snap.items():
             if key.endswith("_rate"):
                 continue
-            total[key] = total.get(key, 0) + value
+            if key in GAUGES:
+                total[key] = max(total.get(key, value), value)
+            else:
+                total[key] = total.get(key, 0) + value
     return total
 
 

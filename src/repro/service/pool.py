@@ -16,11 +16,11 @@ Two deliberate behaviors:
   multi-model daemon never mixes fingerprints (the SAT008 lint's
   complaint) and the warm-entry count stays meaningful.
 * **Delta metrics.**  A resident oracle's counters are cumulative by
-  design, so per-job metrics are computed the same way
-  :func:`repro.exec.worker.compute_shard` computes per-shard metrics:
-  snapshot before, snapshot after, subtract.  ``compile_warm_entries``
-  is re-injected as an absolute value (a constant minus itself is 0,
-  which would hide exactly the warmth the SAT009 lint keys on).
+  design; the synthesis loop reports every shard's share of them
+  (:func:`repro.obs.metrics_delta` — gauges such as
+  ``compile_warm_entries`` stay absolute, which is the warmth the
+  SAT009 lint keys on), so a job's ``oracle_stats`` are per-job numbers
+  whether its checker is warm or fresh.
 
 Recycling (``recycle_after=N``) drops every warm checker after N jobs —
 bounding memory growth of the session LRU and analysis memos, and, for
@@ -44,19 +44,12 @@ from __future__ import annotations
 import threading
 from collections.abc import Callable
 from dataclasses import replace
-from typing import Any
 
 from repro.core.minimality import CriterionMode, MinimalityChecker
-from repro.core.synthesis import (
-    SynthesisOptions,
-    SynthesisResult,
-    build_checker,
-    run_sequential,
-    synthesize,
-)
+from repro.core.synthesis import SynthesisOptions, SynthesisResult, build_checker
 from repro.exec.fanout import ResidentProcess, ResidentTask
+from repro.exec.runtime import run_sharded
 from repro.models.registry import get_model
-from repro.obs import derive_rates
 from repro.service.protocol import (
     SynthesisRequest,
     result_from_payload,
@@ -68,7 +61,6 @@ __all__ = [
     "ProcessResidentWorker",
     "ResidentWorker",
     "checker_key",
-    "needs_sharded_runtime",
 ]
 
 
@@ -78,25 +70,7 @@ def checker_key(model: str, opts: SynthesisOptions) -> tuple:
     Everything :func:`repro.core.synthesis.build_checker` consumes —
     two requests mapping to the same key are safe to answer with the
     same resident checker, whatever their bound/axioms/config."""
-    mode = opts.mode if isinstance(opts.mode, CriterionMode) else CriterionMode(opts.mode)
-    return (model, mode.value, opts.oracle_spec)
-
-
-def needs_sharded_runtime(opts: SynthesisOptions) -> bool:
-    """Mirror of ``synthesize``'s dispatch test: these options route
-    through :mod:`repro.exec`, whose subprocess workers cannot use a
-    resident checker."""
-    return (
-        opts.jobs > 1
-        or opts.shards is not None
-        or opts.checkpoint_dir is not None
-        or opts.trace_dir is not None
-    )
-
-
-def _oracle_metrics(oracle: Any) -> dict[str, int | float]:
-    as_metrics = getattr(oracle, "as_metrics", None)
-    return dict(as_metrics()) if as_metrics is not None else {}
+    return (model, CriterionMode(opts.mode).value, opts.oracle_spec)
 
 
 class ResidentWorker:
@@ -155,8 +129,7 @@ class ResidentWorker:
             return checker
         self.warm_misses += 1
         opts = request.options
-        mode = opts.mode if isinstance(opts.mode, CriterionMode) else CriterionMode(opts.mode)
-        checker = build_checker(get_model(request.model), mode, opts.oracle_spec)
+        checker = build_checker(get_model(request.model), opts.mode, opts.oracle_spec)
         self._checkers[key] = checker
         return checker
 
@@ -179,16 +152,13 @@ class ResidentWorker:
 
         ``progress`` receives the job's structured progress events: one
         ``{"phase": "start", ...}`` up front, then whatever the
-        synthesis loop emits through ``progress_events`` (periodic
-        ``enumerate`` events and a terminal ``finish`` sequentially,
-        per-shard ``shard`` events under the sharded runtime).
+        synthesis run emits through ``progress_events`` (periodic
+        ``enumerate`` events and a terminal ``finish`` when unsharded,
+        per-shard ``shard`` events when sharded).
 
-        Sharded-runtime options (``jobs > 1``, shards, checkpointing,
-        tracing) dispatch through plain :func:`synthesize` — the
-        subprocess workers there warm their own caches (and share the
-        disk CNF cache directory), so the resident checker stays out of
-        the way.  Everything else runs :func:`run_sequential` over the
-        warm checker.
+        Every in-process run (``jobs=1``, traced or not) uses this
+        worker's warm checker; a ``jobs > 1`` run's pool workers warm
+        their own caches (and share the disk CNF cache directory).
         """
         request = self.effective_request(request)
         opts = request.options
@@ -201,27 +171,9 @@ class ResidentWorker:
                 }
             )
             opts = replace(opts, progress_events=progress)
-        if needs_sharded_runtime(opts):
-            result = synthesize(get_model(request.model), opts)
-            metrics = dict(result.oracle_stats)
-        else:
-            checker = self._checker_for(request)
-            before = _oracle_metrics(checker.oracle)
-            result = run_sequential(get_model(request.model), opts, checker=checker)
-            after = _oracle_metrics(checker.oracle)
-            delta = {
-                key: value - before.get(key, 0) for key, value in after.items()
-            }
-            # warm_entries is a startup constant, not a counter; the
-            # delta zeroes it, so restore the absolute value (SAT009
-            # reads it).
-            if "compile_warm_entries" in after:
-                delta["compile_warm_entries"] = after["compile_warm_entries"]
-            metrics = {**delta, **derive_rates(delta)}
-            # The result of a resident run carries cumulative oracle
-            # counters (see run_sequential); replace them with this
-            # job's delta so the client sees per-job numbers.
-            result.oracle_stats = dict(metrics)
+        checker = self._checker_for(request) if opts.jobs == 1 else None
+        result = run_sharded(get_model(request.model), opts, checker=checker)
+        metrics = dict(result.oracle_stats)
         with self._lock:
             self.jobs_done += 1
             due = (

@@ -173,7 +173,7 @@ class SynthesisRequest:
     @classmethod
     def build(cls, model: str, bound: int = 4, **knobs: Any) -> SynthesisRequest:
         """Convenience constructor: ``SynthesisRequest.build("tso",
-        bound=4, oracle="relational", ...)``."""
+        bound=4, oracle_spec=OracleSpec(oracle="relational"), ...)``."""
         return cls(model=model, options=SynthesisOptions(bound=bound, **knobs))
 
     def to_payload(self) -> dict[str, Any]:
@@ -193,13 +193,12 @@ class SynthesisRequest:
                 "custom reject callable cannot be sent to a synthesis "
                 "service"
             )
-        mode = opts.mode if isinstance(opts.mode, CriterionMode) else CriterionMode(opts.mode)
         return {
             "model": self.model,
             "options": {
                 "bound": opts.bound,
                 "axioms": list(opts.axioms) if opts.axioms is not None else None,
-                "mode": mode.value,
+                "mode": CriterionMode(opts.mode).value,
                 "config": asdict(opts.config) if opts.config is not None else None,
                 "exact_symmetry": opts.exact_symmetry,
                 "reject": reject,
@@ -233,29 +232,19 @@ class SynthesisRequest:
             "oracle_spec",
             "trace_dir",
         }
-        # pre-1.2 clients sent the oracle knobs as loose option keys;
-        # fold them into the nested oracle_spec object (mixing both
-        # shapes in one payload is an error, not a merge)
-        loose = {
-            name: raw.pop(name)
-            for name in ("oracle", "incremental", "cnf_cache_dir", "prefilter")
-            if name in raw
-        }
-        spec_payload = raw.pop("oracle_spec", None)
-        if loose and spec_payload is not None:
-            raise ValueError(
-                "synthesis request mixes the nested oracle_spec object "
-                f"with loose oracle fields {sorted(loose)}"
-            )
         unknown = set(raw) - known
         if unknown:
+            # includes the loose pre-1.2 oracle keys, removed in 1.3
             raise ValueError(
-                f"unknown synthesis option fields {sorted(unknown)}"
+                f"unknown synthesis option fields {sorted(unknown)} "
+                "(oracle knobs travel nested in the oracle_spec object)"
             )
-        if spec_payload is not None:
-            spec = OracleSpec.from_payload(dict(spec_payload))
-        else:
-            spec = OracleSpec(**loose)
+        spec_payload = raw.pop("oracle_spec", None)
+        spec = (
+            OracleSpec.from_payload(dict(spec_payload))
+            if spec_payload is not None
+            else OracleSpec()
+        )
         axioms = raw.pop("axioms", None)
         options = SynthesisOptions(
             mode=CriterionMode(mode),

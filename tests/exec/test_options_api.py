@@ -1,4 +1,4 @@
-"""The options-object API, the legacy-kwargs shim, and the v2 JSON schema."""
+"""The options-object API, the removed legacy shims, and the JSON schema."""
 
 import json
 
@@ -94,13 +94,15 @@ class TestResultSchema:
         assert counts["wall_seconds"] == payload["wall_seconds"]
         assert counts["cpu_seconds"] == payload["cpu_seconds"]
 
-    def test_elapsed_seconds_alias_warns(self):
+    def test_elapsed_seconds_alias_was_removed(self):
+        # The deprecated alias finished its window in 1.3: read
+        # wall_seconds (or cpu_seconds) instead.
         result = synthesize(
             get_model("tso"), SynthesisOptions(bound=3, config=_config())
         )
-        with pytest.deprecated_call():
-            alias = result.elapsed_seconds
-        assert alias == result.wall_seconds
+        with pytest.raises(AttributeError, match="elapsed_seconds"):
+            result.elapsed_seconds
+        assert result.wall_seconds > 0
 
     def test_summary_mentions_wall_and_cpu(self):
         result = synthesize(

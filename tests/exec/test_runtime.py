@@ -6,11 +6,23 @@ to the sequential run.  These tests pin that contract through the real
 ``multiprocessing`` pool, not just the in-process shard loop.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.core.enumerator import EnumerationConfig
-from repro.core.synthesis import SynthesisOptions, synthesize
+from repro.core.canonical import canonical_form
+from repro.core.enumerator import EnumerationConfig, enumerate_tests
+from repro.core.synthesis import (
+    SynthesisOptions,
+    build_checker,
+    fingerprint,
+    run_sequential,
+    synthesize_shard,
+    synthesize,
+)
 from repro.exec import plan_shards
+from repro.litmus.test import LitmusTest
+from repro.litmus.events import read, write
 from repro.models.registry import get_model
 
 
@@ -89,8 +101,58 @@ class TestShardedRuntime:
             synthesize(get_model("tso"), _options(jobs=2, reject=reject))
 
     def test_plan_shards_defaults(self):
-        assert plan_shards(1).count >= 1
-        assert plan_shards(4).count >= 4
-        assert plan_shards(2, shards=9).count == 9
+        assert plan_shards(1) >= 1
+        assert plan_shards(4) >= 4
+        assert plan_shards(2, shards=9) == 9
         with pytest.raises(ValueError):
             plan_shards(2, shards=0)
+
+
+class TestFingerprint:
+    def test_alias_map_is_part_of_the_digest(self):
+        threads = ((write(0, 1), read(1)), (write(1, 1), read(0)))
+        plain = LitmusTest(threads)
+        aliased = LitmusTest(threads, addr_map=((1, 0),))
+        assert plain != aliased
+        assert fingerprint(plain) != fingerprint(aliased)
+
+    def test_vmem_digests_count_every_canonical_class(self):
+        # sc_vmem at bound 4 over two 2-event threads: hundreds of canonical
+        # classes differ only in their alias maps.  A stub checker keeps
+        # the loop oracle-free; the digests alone set unique_candidates.
+        model = get_model("sc_vmem")
+        config = EnumerationConfig(
+            max_events=4, max_threads=2, max_addresses=2,
+            max_deps=0, max_rmws=0, max_aliases=1, max_thread_size=2,
+        )
+        classes = {
+            canonical_form(test)
+            for test in enumerate_tests(model.vocabulary, config)
+        }
+        never_minimal = SimpleNamespace(
+            oracle=None,
+            check=lambda test, axiom: SimpleNamespace(is_minimal=False),
+        )
+        shard = synthesize_shard(
+            model, SynthesisOptions(bound=4, config=config), never_minimal
+        )
+        digests = shard["stats"]["digests"]
+        assert shard["stats"]["unique"] == len(classes)
+        assert len(set(digests)) == len(digests) == len(classes)
+
+
+class TestResidentChecker:
+    def test_run_sequential_reports_per_run_oracle_deltas(self, sequential):
+        tso = get_model("tso")
+        opts = _options()
+        checker = build_checker(tso, opts.mode, opts.oracle_spec)
+        first = run_sequential(tso, opts, checker=checker)
+        second = run_sequential(tso, _options(), checker=checker)
+        # a fresh checker's first run reports what a one-shot run does
+        assert first.oracle_stats == sequential.oracle_stats
+        assert second.union.to_json() == first.union.to_json()
+        # the repeat answers from the warm analysis cache
+        assert second.oracle_stats["analyses"] == 0
+        cumulative = checker.oracle.as_metrics()
+        for key, value in cumulative.items():
+            assert first.oracle_stats[key] + second.oracle_stats[key] == value

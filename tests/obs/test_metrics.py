@@ -1,4 +1,5 @@
-"""MetricsRegistry, the Stats protocol, merge_metrics and derive_rates."""
+"""MetricsRegistry, the Stats protocol, merge_metrics, metrics_delta and
+derive_rates."""
 
 from repro.obs import (
     MetricsRegistry,
@@ -6,6 +7,8 @@ from repro.obs import (
     current_registry,
     derive_rates,
     merge_metrics,
+    metrics_delta,
+    metrics_of,
     use_registry,
 )
 
@@ -84,6 +87,24 @@ class TestMergeAndRates:
             {"a": 4, "c": 1},
         )
         assert merged == {"a": 5, "b": 2.5, "c": 1}
+
+    def test_delta_subtracts_counters_and_keeps_gauges(self):
+        before = {"compile_hits": 2, "compile_warm_entries": 8}
+        after = {"compile_hits": 5, "compile_warm_entries": 8, "new": 1}
+        assert metrics_delta(before, after) == {
+            "compile_hits": 3,
+            "compile_warm_entries": 8,
+            "new": 1,
+        }
+        assert metrics_of(_FakeStats()) == {"queries": 7, "hits": 3.0}
+        assert metrics_of(object()) == {}
+
+    def test_merge_takes_the_maximum_of_gauges(self):
+        merged = merge_metrics(
+            {"compile_warm_entries": 8, "compile_hits": 1},
+            {"compile_warm_entries": 8, "compile_hits": 2},
+        )
+        assert merged == {"compile_warm_entries": 8, "compile_hits": 3}
 
     def test_analysis_rate_counts_misses(self):
         # "analyses" counts cache MISSES: total calls = hits + misses.

@@ -1,6 +1,7 @@
 """The Report envelope: round-trips and legacy-document rejection."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -125,3 +126,16 @@ class TestLiveSurfacesAreEnvelopes:
         loaded = load_report(comparison.to_json_dict())
         assert loaded.schema_name == "suite-comparison"
         assert loaded.schema_version == 2
+
+
+class TestCommittedArtifacts:
+    def test_every_committed_bench_report_loads(self):
+        # No artifact in the repository may be one the loader rejects.
+        root = Path(__file__).resolve().parents[2]
+        paths = sorted(root.glob("BENCH_*.json")) + sorted(
+            (root / "benchmarks").glob("BENCH_*.json")
+        )
+        assert paths
+        for path in paths:
+            report = load_report(path.read_text(encoding="utf-8"))
+            assert report.schema_name.startswith("bench"), path.name

@@ -41,6 +41,20 @@ class TestMergedTraceDeterminism:
             os.path.join(par_dir, "meta.json"), "rb"
         ).read()
 
+    def test_jobs1_trace_is_one_in_process_shard(self, tmp_path):
+        # Tracing never reroutes a run: jobs=1 stays a single unsharded
+        # in-process shard, traced like any other shard.
+        trace_dir = tmp_path / "t"
+        result = synthesize(get_model("tso"), _options(str(trace_dir), jobs=1))
+        assert result.shard_count == 0
+        assert sorted(p.name for p in trace_dir.glob("shard-*.jsonl")) == [
+            "shard-0000.jsonl"
+        ]
+        payload = summarize_trace_dir(str(trace_dir))
+        phase_names = [p["name"] for p in payload["phases"]]
+        assert phase_names == ["plan", "replay", "shards", "merge"]
+        assert payload["counters"]["candidates"] == result.candidates
+
     def test_merged_stream_structure(self, tmp_path):
         trace_dir = str(tmp_path / "t")
         result = synthesize(get_model("tso"), _options(trace_dir, jobs=1))

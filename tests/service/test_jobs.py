@@ -281,6 +281,23 @@ class TestResidentWorker:
         effective = worker.effective_request(tiny_request(oracle="explicit"))
         assert effective.options.oracle_spec.cnf_cache_dir is None
 
+    def test_traced_requests_keep_the_warm_checker(self, tmp_path):
+        # Tracing is observation only: a traced jobs=1 request still runs
+        # in process over the resident checker, and its oracle stats are
+        # this job's share (the repeat answers from the warm caches).
+        worker = ResidentWorker()
+        request = tiny_request(
+            oracle="relational", trace_dir=str(tmp_path / "trace")
+        )
+        first, _ = worker.run(request)
+        second, _ = worker.run(request)
+        assert worker.as_metrics()["worker_warm_hits"] == 1
+        assert worker.as_metrics()["worker_warm_misses"] == 1
+        assert first.oracle_stats["analyses"] > 0
+        assert second.oracle_stats["analyses"] == 0
+        assert second.union.to_json() == first.union.to_json()
+        assert (tmp_path / "trace" / "shard-0000.jsonl").exists()
+
     def test_caller_supplied_cache_dir_wins(self, tmp_path):
         worker = ResidentWorker(cnf_cache_base=str(tmp_path))
         request = tiny_request(

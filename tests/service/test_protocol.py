@@ -98,6 +98,25 @@ class TestSynthesisRequest:
         with pytest.raises(ValueError, match="bogus"):
             SynthesisRequest.from_payload(payload)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("oracle", "relational"),
+            ("incremental", False),
+            ("cnf_cache_dir", "cnf"),
+            ("prefilter", True),
+        ],
+    )
+    def test_loose_oracle_keys_rejected(self, field, value):
+        # Pre-1.2 clients sent the oracle knobs as loose option keys;
+        # since 1.3 only the nested oracle_spec object is accepted.
+        payload = _request().to_payload()
+        del payload["options"]["oracle_spec"]
+        payload["options"][field] = value
+        with pytest.raises(ValueError, match="oracle_spec") as info:
+            SynthesisRequest.from_payload(payload)
+        assert field in str(info.value)
+
     def test_missing_model_rejected(self):
         with pytest.raises(ValueError, match="model"):
             SynthesisRequest.from_payload({"options": {"bound": 3}})

@@ -33,10 +33,25 @@ class TestPublicAPI:
                 config=repro.EnumerationConfig(max_events=3, max_addresses=1),
             )
 
-    def test_loose_oracle_fields_warn_but_bundle_into_spec(self):
-        with pytest.deprecated_call():
-            options = repro.SynthesisOptions(bound=3, oracle="relational")
-        assert options.oracle_spec == repro.OracleSpec(oracle="relational")
+    def test_loose_oracle_fields_were_removed(self):
+        # The loose oracle shims finished their window in 1.3: the
+        # constructor keywords and the read aliases are both gone.
+        for name, value in (
+            ("oracle", "relational"),
+            ("incremental", False),
+            ("cnf_cache_dir", "cnf"),
+            ("prefilter", True),
+        ):
+            with pytest.raises(TypeError, match=name):
+                repro.SynthesisOptions(bound=3, **{name: value})
+            assert not hasattr(repro.SynthesisOptions(bound=3), name)
+        with pytest.raises(TypeError, match="prefilter"):
+            repro.CampaignOptions(model="tso", prefilter=True)
+        assert not hasattr(repro.CampaignOptions(model="tso"), "prefilter")
+        options = repro.SynthesisOptions(
+            bound=3, oracle_spec=repro.OracleSpec(oracle="relational")
+        )
+        assert options.oracle_spec.oracle == "relational"
 
     def test_build_and_check_a_test(self):
         test = repro.LitmusTest(
