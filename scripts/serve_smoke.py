@@ -12,13 +12,16 @@ Boots `repro.service` on a unix socket with one resident worker, then:
   repeated request reports a warm compile layer
   (``compile_hit_rate > 0`` over ``compile_warm_entries``) while
   streaming live progress events (at least ``start`` and ``finish``),
-* races two CPU-bound relational jobs (tso + sc) through a two-worker
-  thread daemon and a two-worker process daemon (fresh CNF dirs each)
-  and asserts the process pool is at least 1.3x faster wall-clock,
+  then submits the same request with ``jobs=2`` (a worker fanning out
+  to children of its own) and asserts the suite is byte-identical,
+* races two CPU-bound relational jobs (tso + sc) through a one-worker
+  and a two-worker daemon (fresh CNF dirs each) and asserts two workers
+  are at least 1.3x faster wall-clock on hosts with two or more CPUs,
   byte-identical, and that every job streamed >= 1 progress event,
 * lints the emitted service trace directory (no orphan spans, every
   span timed) and writes the combined measurement to
-  ``BENCH_serve.json`` (``bench-serve`` v2 adds the ``pools`` block).
+  ``BENCH_serve.json`` (``bench-serve`` v3: a ``workers`` block in
+  place of v2's ``pools``).
 
 Exit status 0 on success.  Run from the repository root:
 
@@ -45,15 +48,18 @@ from repro.service import Client, JobManager, SynthesisRequest, serve_async
 BOUND = int(os.environ.get("SERVE_SMOKE_BOUND", "4"))
 OUT = os.environ.get("SERVE_SMOKE_OUT", "BENCH_serve.json")
 TRACE_DIR = os.environ.get("SERVE_SMOKE_TRACE_DIR", "BENCH_serve_trace")
-#: the process pool must beat the GIL-bound thread pool by this factor
-#: on the two-job concurrent workload
-MIN_POOL_SPEEDUP = float(os.environ.get("SERVE_SMOKE_MIN_SPEEDUP", "1.3"))
+#: two workers must beat one by this factor on the two-job concurrent
+#: workload
+MIN_WORKER_SPEEDUP = float(os.environ.get("SERVE_SMOKE_MIN_SPEEDUP", "1.3"))
 
 
-def request(bound: int = BOUND, model: str = "tso") -> SynthesisRequest:
+def request(
+    bound: int = BOUND, model: str = "tso", jobs: int = 1
+) -> SynthesisRequest:
     return SynthesisRequest.build(
         model,
         bound=bound,
+        jobs=jobs,
         config=EnumerationConfig(max_events=bound, max_addresses=2),
         oracle_spec=OracleSpec(oracle="relational"),
     )
@@ -96,23 +102,22 @@ class Daemon:
         self.manager.close()
 
 
-def race_pool(
-    pool: str, workdir: str, failures: list[str]
+def race_workers(
+    workers: int, workdir: str, failures: list[str]
 ) -> tuple[float, dict]:
-    """Race the tso + sc jobs through a two-worker ``pool`` daemon.
+    """Race the tso + sc jobs through a ``workers``-worker daemon.
 
     Returns the wall-clock seconds from first submission to last result
     plus the per-job measurement block.  Each arm gets its own socket
-    and a fresh CNF cache directory so both pools do the same (cold,
+    and a fresh CNF cache directory so both daemons do the same (cold,
     CPU-bound) work.
     """
-    socket_path = os.path.join(workdir, f"repro-{pool}.sock")
+    socket_path = os.path.join(workdir, f"repro-w{workers}.sock")
     jobs_block: dict = {}
     with Daemon(
         socket_path,
-        workers=2,
-        pool=pool,
-        cnf_cache_dir=os.path.join(workdir, f"cnf-{pool}"),
+        workers=workers,
+        cnf_cache_dir=os.path.join(workdir, f"cnf-w{workers}"),
     ):
         client = Client(socket_path)
         t0 = time.perf_counter()
@@ -129,14 +134,14 @@ def race_pool(
             result = results[model]
             if result.state != "done":
                 failures.append(
-                    f"{pool} pool: {model} job finished "
+                    f"{workers}-worker daemon: {model} job finished "
                     f"{result.state}: {result.error}"
                 )
                 continue
             final = client.status(status.job_id)
             if final.progress_events < 1:
                 failures.append(
-                    f"{pool} pool: {model} job streamed "
+                    f"{workers}-worker daemon: {model} job streamed "
                     f"{final.progress_events} progress events"
                 )
             local = synthesize(
@@ -144,7 +149,8 @@ def race_pool(
             )
             if result.result.union.to_json() != local.union.to_json():
                 failures.append(
-                    f"{pool} pool: {model} union differs from local run"
+                    f"{workers}-worker daemon: {model} union differs "
+                    "from local run"
                 )
             jobs_block[model] = {
                 "job_id": status.job_id,
@@ -232,36 +238,41 @@ def main() -> int:
         if warm.union.to_json() != local.union.to_json():
             failures.append("warm daemon union differs from local run")
 
-    # --- thread vs process pool on a concurrent workload ---------------
-    thread_wall, thread_jobs = race_pool("thread", workdir, failures)
-    process_wall, process_jobs = race_pool("process", workdir, failures)
-    speedup = thread_wall / process_wall if process_wall else 0.0
-    # a process pool cannot beat the GIL without a second CPU to run on;
+        sharded = client.synthesize("tso", request(jobs=2).options, timeout=600)
+        measurement["sharded_job"] = {"jobs": 2, "shards": sharded.shard_count}
+        if sharded.union.to_json() != local.union.to_json():
+            failures.append("jobs=2 daemon union differs from local run")
+
+    # --- one worker vs two on a concurrent workload --------------------
+    one_wall, one_jobs = race_workers(1, workdir, failures)
+    two_wall, two_jobs = race_workers(2, workdir, failures)
+    speedup = one_wall / two_wall if two_wall else 0.0
+    # a second worker cannot run in parallel without a second CPU;
     # record the skip instead of failing on starved runners
     cpus = (
         len(os.sched_getaffinity(0))
         if hasattr(os, "sched_getaffinity")
         else (os.cpu_count() or 1)
     )
-    measurement["pools"] = {
-        "workload": {"models": ["tso", "sc"], "bound": BOUND, "workers": 2},
-        "thread": {"wall_seconds": thread_wall, "jobs": thread_jobs},
-        "process": {"wall_seconds": process_wall, "jobs": process_jobs},
+    measurement["workers"] = {
+        "workload": {"models": ["tso", "sc"], "bound": BOUND},
+        "one_worker": {"wall_seconds": one_wall, "jobs": one_jobs},
+        "two_workers": {"wall_seconds": two_wall, "jobs": two_jobs},
         "speedup": speedup,
         "cpus": cpus,
         "speedup_enforced": cpus >= 2,
     }
-    if cpus >= 2 and speedup < MIN_POOL_SPEEDUP:
+    if cpus >= 2 and speedup < MIN_WORKER_SPEEDUP:
         failures.append(
-            f"process pool speedup {speedup:.2f}x over the thread pool "
-            f"(want >= {MIN_POOL_SPEEDUP}x; thread {thread_wall:.2f}s, "
-            f"process {process_wall:.2f}s)"
+            f"two-worker speedup {speedup:.2f}x over one worker "
+            f"(want >= {MIN_WORKER_SPEEDUP}x; one {one_wall:.2f}s, "
+            f"two {two_wall:.2f}s)"
         )
     elif cpus < 2:
         print(
             f"note: single-CPU runner ({cpus} usable); measured "
             f"{speedup:.2f}x but not enforcing the "
-            f">= {MIN_POOL_SPEEDUP}x pool speedup",
+            f">= {MIN_WORKER_SPEEDUP}x worker speedup",
         )
 
     # --- the trace the first daemon emitted must lint clean ------------
@@ -272,7 +283,7 @@ def main() -> int:
 
     report = Report(
         schema_name="bench-serve",
-        schema_version=2,
+        schema_version=3,
         command="serve-smoke",
         payload=measurement,
     )
@@ -290,7 +301,7 @@ def main() -> int:
     print(
         f"serve smoke OK: dedup_hits={dedup}, "
         f"warm compile_hit_rate={rate:.2f}, "
-        f"process pool speedup {speedup:.2f}x"
+        f"two-worker speedup {speedup:.2f}x"
     )
     return 0
 

@@ -22,9 +22,8 @@
                           [--list-mutants]
     litmus-synth report TRACE_DIR [--json]
     litmus-synth serve (--socket PATH | --port N) [--pool-workers N]
-                       [--pool thread|process] [--recycle-after N]
-                       [--max-queued-per-client N] [--cnf-cache-dir D]
-                       [--trace-dir D]
+                       [--recycle-after N] [--max-queued-per-client N]
+                       [--cnf-cache-dir D] [--trace-dir D]
     litmus-synth submit --server ADDR --model tso --bound 4 [--wait]
                         [synthesis knobs ...] [--json]
     litmus-synth jobs --server ADDR [--status JOB | --cancel JOB |
@@ -575,14 +574,12 @@ def _cmd_serve(args) -> int:
         recycle_after=args.recycle_after,
         cnf_cache_dir=cnf_cache_dir,
         trace_dir=args.trace_dir,
-        pool=args.pool,
         max_queued_per_client=args.max_queued_per_client,
     )
 
     def ready(address: str) -> None:
         print(
-            f"serving on {address} "
-            f"({args.pool_workers} {args.pool} worker(s))",
+            f"serving on {address} ({args.pool_workers} process worker(s))",
             flush=True,
         )
 
@@ -988,16 +985,9 @@ def build_parser() -> argparse.ArgumentParser:
         dest="pool_workers",
         type=int,
         default=1,
-        help="resident workers (each keeps its own warm caches); "
+        help="resident worker processes (each keeps its own warm "
+        "caches and runs jobs in parallel with the others); "
         "--workers is the pre-1.2 spelling",
-    )
-    p.add_argument(
-        "--pool",
-        default="process",
-        choices=["thread", "process"],
-        help="worker species: process (default) runs each worker in its "
-        "own interpreter for true parallelism; thread keeps the pre-1.2 "
-        "in-process pool (output is byte-identical either way)",
     )
     p.add_argument(
         "--max-queued-per-client",

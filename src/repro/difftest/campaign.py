@@ -35,7 +35,7 @@ from repro.difftest.harness import DiffHarness
 from repro.difftest.mutate import model_fingerprint
 from repro.difftest.rng import stream
 from repro.difftest.shrink import shrink
-from repro.exec.fanout import FanoutTask, run_fanout
+from repro.exec.fanout import ResidentTask, run_fanout
 from repro.exec.sharding import plan_shards
 from repro.models.registry import get_model
 from repro.obs import (
@@ -217,7 +217,7 @@ class CampaignReport:
         return "\n".join(lines)
 
 
-# -- worker side (module-level for pool pickling) -----------------------------
+# -- child side (module-level for child-process pickling) --------------------
 
 
 @dataclass(frozen=True)
@@ -238,7 +238,7 @@ def _setup_worker(payload: _ShardPayload):
     return payload, harness, generator
 
 
-def _run_shard(state, shard_index: int) -> dict:
+def _fuzz_shard(state, shard_index: int, emit) -> dict:
     payload, harness, generator = state
     opts = payload.options
     found: list[dict] = []
@@ -353,13 +353,10 @@ def _run_campaign(options: CampaignOptions, tracer: Tracer) -> CampaignReport:
     with tracer.span("fuzz") as fuzz_span:
         shard_count = plan_shards(options.jobs, options.shards)
         payload = _ShardPayload(options, shard_count)
-        task = FanoutTask(
-            setup=_setup_worker,
-            work=_run_shard,
-            payload=payload,
-            shard_count=shard_count,
+        task = ResidentTask(
+            setup=_setup_worker, work=_fuzz_shard, payload=payload
         )
-        results = run_fanout(task, options.jobs)
+        results = run_fanout(task, shard_count, options.jobs)
         tests_run = sum(r["tests"] for r in results)
         mutant_skips = sum(r.get("mutant_skips", 0) for r in results)
         merged = [

@@ -3,8 +3,9 @@
 The synthesis loop (:func:`repro.core.synthesis.synthesize_shard`) is
 embarrassingly parallel — every candidate's minimality check is
 independent — so this package splits the candidate space into
-deterministic shards, runs them in process or over a worker pool, and
-merges the streams back into suites byte-identical for every job count.
+deterministic shards, runs them in process or over resident child
+processes, and merges the streams back into suites byte-identical for
+every job count.
 A plain ``jobs=1`` run is a single in-process shard through the same
 merge.  Shard results double as checkpoints, so a killed run resumes.
 
@@ -20,7 +21,7 @@ Modules:
 * :mod:`repro.exec.merge`      — order-restoring deterministic merge
 * :mod:`repro.exec.checkpoint` — JSONL shard store with run fingerprint
 * :mod:`repro.exec.runtime`    — the driver tying it together
-* :mod:`repro.exec.fanout`     — the one process-pool primitive
+* :mod:`repro.exec.fanout`     — the one child-process primitive
 """
 
 from repro.exec.checkpoint import (
@@ -30,7 +31,6 @@ from repro.exec.checkpoint import (
     saved_shard_count,
 )
 from repro.exec.fanout import (
-    FanoutTask,
     RemoteJobError,
     ResidentProcess,
     ResidentTask,
@@ -47,7 +47,6 @@ __all__ = [
     "CheckpointStore",
     "run_fingerprint",
     "saved_shard_count",
-    "FanoutTask",
     "RemoteJobError",
     "ResidentProcess",
     "ResidentTask",

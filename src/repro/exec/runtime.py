@@ -7,8 +7,8 @@ dispatches to, for every option set:
    ``jobs=1`` run is a single shard over the unsharded stream;
 2. replay completed shards from the checkpoint store, if any;
 3. run the remaining shards through :func:`repro.exec.fanout.fanout` —
-   in this process for ``jobs=1``, over a process pool otherwise — with
-   each shard executing the one synthesis loop
+   in this process for ``jobs=1``, over resident child processes
+   otherwise — with each shard executing the one synthesis loop
    (:func:`repro.core.synthesis.synthesize_shard`), checkpointing and reporting
    progress as each shard completes;
 4. merge everything deterministically (:mod:`repro.exec.merge`).
@@ -37,11 +37,10 @@ from repro.exec.checkpoint import (
     run_fingerprint,
     saved_shard_count,
 )
-from repro.exec.fanout import FanoutTask, fanout
+from repro.exec.fanout import ResidentTask, fanout
 from repro.exec.merge import merge_shards
 from repro.exec.sharding import plan_shards
 from repro.models.base import MemoryModel
-from repro.models.registry import get_model
 from repro.obs import (
     TOOL_NAME,
     TRACE_SCHEMA_NAME,
@@ -76,23 +75,19 @@ def _write_trace_meta(trace_dir: str, model: MemoryModel, opts: SynthesisOptions
 
 # -- the fan-out task -----------------------------------------------------------
 #
-# Module-level so the task pickles by reference into pool workers.  The
-# payload is ``(model, opts, checker, shard_count)``: in process the model
-# object and an optional resident checker travel as-is; a pool ships the
-# model's registry name and no checker, and each worker builds its own
-# once.
+# Module-level so the task pickles by reference into child processes.
+# The payload is ``(model, opts, checker, shard_count)``; the checker is a
+# resident one only in process, and each child builds its own once.
 
 
 def _setup(payload: tuple) -> tuple:
     model, opts, checker, shard_count = payload
-    if isinstance(model, str):
-        model = get_model(model)
     if checker is None:
         checker = build_checker(model, opts.mode, opts.oracle_spec)
     return model, opts, checker, shard_count
 
 
-def _work(state: tuple, index: int) -> dict:
+def _work(state: tuple, index: int, emit: object) -> dict:
     model, opts, checker, shard_count = state
     return synthesize_shard(model, opts, checker, shard=(index, shard_count))
 
@@ -105,7 +100,7 @@ def run_sharded(
     """Run one synthesis: plan, replay, fan out, merge.
 
     ``checker`` is a resident checker for in-process (``jobs=1``) runs;
-    pool workers always build their own.
+    child processes always build their own.
     """
     sharded = (
         opts.jobs > 1 or opts.shards is not None or opts.checkpoint_dir is not None
@@ -180,12 +175,10 @@ def run_sharded(
                 if sharded
                 else opts
             )
-            payload = (
-                (model, shard_opts, checker, shard_count)
-                if opts.jobs == 1
-                else (model.name, shard_opts, None, shard_count)
+            resident = checker if opts.jobs == 1 else None
+            task = ResidentTask(
+                _setup, _work, (model, shard_opts, resident, shard_count)
             )
-            task = FanoutTask(_setup, _work, payload, shard_count)
             for _, result in fanout(task, pending, opts.jobs):
                 finish(result)
 

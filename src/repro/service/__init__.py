@@ -5,8 +5,8 @@ The package splits along the process boundary:
 * :mod:`repro.service.protocol` — the typed request/response shapes
   (:class:`SynthesisRequest`, :class:`JobStatus`, :class:`JobResult`)
   and their :class:`repro.obs.Report` envelope serialization;
-* :mod:`repro.service.pool` — resident workers keeping oracle caches
-  warm across jobs;
+* :mod:`repro.service.pool` — resident worker processes keeping oracle
+  caches warm across jobs;
 * :mod:`repro.service.jobs` — the transport-free job queue with
   request-fingerprint deduplication;
 * :mod:`repro.service.server` — the asyncio wire adapter behind
@@ -21,7 +21,7 @@ the wire entry-by-entry and are reassembled in candidate order, so
 
 from repro.service.client import Client, ServiceError, parse_address
 from repro.service.jobs import Job, JobManager
-from repro.service.pool import ProcessResidentWorker, ResidentWorker
+from repro.service.pool import ResidentWorker
 from repro.service.protocol import (
     JobProgress,
     JobResult,
@@ -45,7 +45,6 @@ __all__ = [
     "result_from_payload",
     "Job",
     "JobManager",
-    "ProcessResidentWorker",
     "ResidentWorker",
     "Client",
     "ServiceError",

@@ -38,7 +38,7 @@ from repro.core.synthesis import SynthesisResult
 from repro.obs import Tracer, merge_metrics
 from repro.obs.report import TOOL_NAME
 from repro.obs.trace import TRACE_SCHEMA_NAME, TRACE_SCHEMA_VERSION
-from repro.service.pool import ProcessResidentWorker, ResidentWorker
+from repro.service.pool import ResidentWorker
 from repro.service.protocol import (
     JobResult,
     JobState,
@@ -85,24 +85,19 @@ class Job:
 
 
 class JobManager:
-    """Thread pool + queue + dedup index; the daemon minus the sockets.
+    """Worker threads + queue + dedup index; the daemon minus the sockets.
 
     Args:
-        workers: resident worker count (threads or processes, per
-            ``pool``).
-        recycle_after: per-worker job count before its warm checkers are
-            dropped (0 = keep forever).  Thread workers drop their
-            checker dict; process workers restart their child process.
+        workers: resident worker count; each
+            :class:`~repro.service.pool.ResidentWorker` keeps its warm
+            state in a dedicated child process, so concurrent jobs run
+            truly in parallel.
+        recycle_after: per-worker job count before its child process
+            (and every warm checker in it) is restarted (0 = never).
         cnf_cache_dir: base directory for the workers' per-model CNF
             compilation caches (see
             :meth:`repro.service.pool.ResidentWorker.effective_request`).
         trace_dir: optional :mod:`repro.obs` trace directory.
-        pool: ``"thread"`` (workers share this interpreter — CPU-bound
-            jobs serialize on the GIL) or ``"process"`` (each worker is
-            a :class:`~repro.service.pool.ProcessResidentWorker` hosting
-            its warm state in a dedicated child process — concurrent
-            jobs run truly in parallel).  Suites are byte-identical
-            either way.
         max_queued_per_client: reject a submission with
             :class:`~repro.service.protocol.QuotaExceededError` when the
             submitting client already has this many jobs *queued*
@@ -110,7 +105,7 @@ class JobManager:
             they add no queue entry.
         worker_factory: test hook — a callable ``(index) -> worker``
             returning anything with ``run(request, progress=...)`` and
-            ``as_metrics()``; overrides ``pool``.
+            ``as_metrics()``.
     """
 
     def __init__(
@@ -119,22 +114,16 @@ class JobManager:
         recycle_after: int = 0,
         cnf_cache_dir: str | None = None,
         trace_dir: str | None = None,
-        pool: str = "thread",
         max_queued_per_client: int = 0,
         worker_factory: Callable[[int], Any] | None = None,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if pool not in ("thread", "process"):
-            raise ValueError(
-                f"unknown pool kind {pool!r}; choose 'thread' or 'process'"
-            )
         if max_queued_per_client < 0:
             raise ValueError(
                 "max_queued_per_client must be >= 0, got "
                 f"{max_queued_per_client}"
             )
-        self.pool = pool
         self.max_queued_per_client = max_queued_per_client
         self._lock = threading.Lock()
         #: shares the manager lock; notified on every appended progress
@@ -150,10 +139,7 @@ class JobManager:
         self.quota_rejections = 0
         self._closed = False
         if worker_factory is None:
-            worker_cls = (
-                ResidentWorker if pool == "thread" else ProcessResidentWorker
-            )
-            worker_factory = lambda index: worker_cls(  # noqa: E731
+            worker_factory = lambda index: ResidentWorker(  # noqa: E731
                 index,
                 recycle_after=recycle_after,
                 cnf_cache_base=cnf_cache_dir,

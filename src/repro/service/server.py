@@ -268,15 +268,16 @@ async def serve_async(
     if stop is None:
         stop = asyncio.Event()
 
-    handlers: set[asyncio.Task] = set()
+    #: every open connection's handler task and its writer
+    handlers: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     async def on_connect(
         reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         task = asyncio.current_task()
         if task is not None:
-            handlers.add(task)
-            task.add_done_callback(handlers.discard)
+            handlers[task] = writer
+            task.add_done_callback(lambda done: handlers.pop(done, None))
         try:
             while True:
                 try:
@@ -336,12 +337,15 @@ async def serve_async(
         if ready is not None:
             ready(address)
         await stop.wait()
-        # Let in-flight handlers finish their exchange (the shutdown
-        # client is still reading its response); anything slower than a
-        # second is waiting on a job, which the exiting server cannot
-        # answer anyway.
+        # Hang up on every client, so an idle handler reads EOF and ends
+        # on its own: a cancelled one makes asyncio (3.10, 3.11) log a
+        # spurious CancelledError traceback.  A handler that is still
+        # waiting on a job after a second is cancelled — the exiting
+        # server cannot answer it anyway.
+        for writer in handlers.values():
+            writer.close()
         if handlers:
-            await asyncio.wait(handlers, timeout=1.0)
+            await asyncio.wait(list(handlers), timeout=1.0)
         for task in list(handlers):
             task.cancel()
 

@@ -68,6 +68,14 @@ class TestDegenerateModels:
         for model in (PermissiveModel(), ContradictoryModel()):
             result = synthesize(model, SynthesisOptions(bound=3, config=config))
             assert len(result.union) == 0
+            # unregistered models reach child processes as objects, not
+            # as registry names the children cannot resolve
+            sharded = synthesize(
+                model, SynthesisOptions(bound=3, config=config, jobs=2)
+            )
+            assert sharded.union.to_json() == result.union.to_json()
+            for axiom, suite in result.per_axiom.items():
+                assert sharded.per_axiom[axiom].to_json() == suite.to_json()
 
 
 class TestDegenerateInputs:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import signal
 
 import pytest
 
@@ -108,6 +109,43 @@ class TestCheckpoint:
         )
         assert resumed.shard_count == first.shard_count == 8
         assert first.union.to_json() == resumed.union.to_json()
+
+    def test_killed_child_fails_fast_and_resume_skips_done_shards(
+        self, tmp_path, monkeypatch
+    ):
+        import multiprocessing
+
+        from repro.exec import WorkerDied, runtime
+
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("children must inherit the patched shard function")
+        tso = get_model("tso")
+        baseline = synthesize(tso, _options())
+        ckpt = str(tmp_path / "ck")
+        real_shard = runtime.synthesize_shard
+
+        def dying_shard(model, opts, checker, shard):
+            if shard[0] == 5:  # dispatched once four shards have finished
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_shard(model, opts, checker, shard=shard)
+
+        monkeypatch.setattr(runtime, "synthesize_shard", dying_shard)
+        with pytest.raises(WorkerDied):
+            synthesize(tso, _options(checkpoint_dir=ckpt, jobs=2))
+        saved = {json.loads(line)["shard"] for line in _shard_lines(ckpt)}
+        assert len(saved) >= 4 and 5 not in saved
+
+        ran: list[int] = []
+
+        def counting_shard(model, opts, checker, shard):
+            ran.append(shard[0])
+            return real_shard(model, opts, checker, shard=shard)
+
+        monkeypatch.setattr(runtime, "synthesize_shard", counting_shard)
+        resumed = synthesize(tso, _options(checkpoint_dir=ckpt))
+        assert sorted(ran) == sorted(set(range(6)) - saved)
+        assert resumed.union.to_json() == baseline.union.to_json()
+        assert resumed.candidates == baseline.candidates
 
     def test_store_rejects_foreign_meta(self, tmp_path):
         directory = str(tmp_path / "ck")

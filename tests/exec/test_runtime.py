@@ -2,8 +2,8 @@
 
 ``jobs=N`` (and any shard count) is purely a scheduling decision: the
 resulting suites, counters, and JSON serializations must be *identical*
-to the sequential run.  These tests pin that contract through the real
-``multiprocessing`` pool, not just the in-process shard loop.
+to the sequential run.  These tests pin that contract through real
+child processes, not just the in-process shard loop.
 """
 
 from types import SimpleNamespace

@@ -289,8 +289,11 @@ class TestResidentWorker:
         request = tiny_request(
             oracle="relational", trace_dir=str(tmp_path / "trace")
         )
-        first, _ = worker.run(request)
-        second, _ = worker.run(request)
+        try:
+            first, _ = worker.run(request)
+            second, _ = worker.run(request)
+        finally:
+            worker.close()
         assert worker.as_metrics()["worker_warm_hits"] == 1
         assert worker.as_metrics()["worker_warm_misses"] == 1
         assert first.oracle_stats["analyses"] > 0

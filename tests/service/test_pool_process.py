@@ -1,15 +1,20 @@
-"""The process-backed worker pool: byte-identity across pool species,
-streamed progress events, per-client quotas, and mid-job child death."""
+"""The process-backed worker pool: byte-identity across worker and job
+counts, streamed progress events, per-client quotas, mid-job child
+death, and interpreter exit without an explicit close."""
 
 import asyncio
 import contextlib
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 
 import pytest
 
+import repro
 from repro.core.enumerator import EnumerationConfig
 from repro.core.synthesis import OracleSpec, synthesize
 from repro.exec.fanout import (
@@ -21,7 +26,7 @@ from repro.exec.fanout import (
 from repro.models.registry import get_model
 from repro.service.client import Client, ServiceError
 from repro.service.jobs import JobManager
-from repro.service.pool import ProcessResidentWorker
+from repro.service.pool import ResidentWorker
 from repro.service.protocol import (
     JobProgress,
     JobState,
@@ -39,8 +44,8 @@ def tiny_request(bound: int = 2, **knobs) -> SynthesisRequest:
 
 
 class BlockingStub:
-    """Thread-pool stub that parks until released — quota tests need a
-    deterministically wedged queue."""
+    """In-process stub worker that parks until released — quota tests
+    need a deterministically wedged queue."""
 
     index = 0
 
@@ -87,28 +92,30 @@ def daemon(manager, tmp_path):
         manager.close()
 
 
-# -- byte-identity across the pool grid ---------------------------------------
+# -- byte-identity across the worker x jobs grid -------------------------------
 
 
 class TestPoolGrid:
-    @pytest.mark.parametrize("pool", ["thread", "process"])
+    # jobs=2: a worker's child fans the request out to children of its
+    # own, which a daemonic child may not start
+    @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_suites_byte_identical_across_pools(self, pool, workers, tmp_path):
+    def test_suites_byte_identical_across_pools(self, jobs, workers, tmp_path):
         requests = [
-            tiny_request(bound=3),
-            tiny_request(bound=2, oracle_spec=OracleSpec(oracle="relational")),
+            tiny_request(bound=3, jobs=jobs),
+            tiny_request(
+                bound=2, jobs=jobs, oracle_spec=OracleSpec(oracle="relational")
+            ),
         ]
         local = [
             synthesize(get_model(req.model), req.options) for req in requests
         ]
-        manager = JobManager(
-            workers=workers, pool=pool, cnf_cache_dir=str(tmp_path / "cnf")
-        )
+        manager = JobManager(workers=workers, cnf_cache_dir=str(tmp_path / "cnf"))
         try:
-            jobs = [manager.submit(req)[0] for req in requests]
-            for job, expected in zip(jobs, local):
+            submitted = [manager.submit(req)[0] for req in requests]
+            for job, expected in zip(submitted, local):
                 result = manager.result(job.job_id, timeout=120)
-                assert result.state == JobState.DONE.value
+                assert result.state == JobState.DONE.value, result.error
                 remote = result.result
                 assert remote.union.to_json() == expected.union.to_json()
                 for axiom, suite in expected.per_axiom.items():
@@ -146,7 +153,7 @@ class TestProgressEvents:
         assert JobProgress.from_payload(report.payload) == progress
 
     def test_process_worker_streams_events_over_pipe(self):
-        worker = ProcessResidentWorker()
+        worker = ResidentWorker()
         try:
             events = []
             result, _ = worker.run(
@@ -281,11 +288,9 @@ def _block_work(state, job, emit):
     emit({"phase": "start", "model": job["request"]["model"]})
     if job["block"]:
         time.sleep(60)  # park until the parent kills this child
-    from repro.service.pool import ResidentWorker
-
     request = SynthesisRequest.from_payload(job["request"])
-    result, metrics = ResidentWorker().run(request)
-    return result_to_payload(result), metrics
+    result = synthesize(get_model(request.model), request.options)
+    return result_to_payload(result), dict(result.oracle_stats)
 
 
 class KillableProcessWorker:
@@ -371,7 +376,6 @@ class TestProcessRecycling:
             workers=1,
             recycle_after=1,
             cnf_cache_dir=str(tmp_path / "cnf"),
-            pool="process",
         )
         try:
             for _ in range(2):
@@ -389,9 +393,7 @@ class TestProcessRecycling:
 
     def test_warm_counters_accumulate_without_recycling(self, tmp_path):
         request = tiny_request(oracle_spec=OracleSpec(oracle="relational"))
-        manager = JobManager(
-            workers=1, cnf_cache_dir=str(tmp_path / "cnf"), pool="process"
-        )
+        manager = JobManager(workers=1, cnf_cache_dir=str(tmp_path / "cnf"))
         try:
             for _ in range(2):
                 job, _ = manager.submit(request)
@@ -423,3 +425,35 @@ class TestProcessRecycling:
             assert len(result.result.union) > 0
         finally:
             manager.close()
+
+
+class TestInterpreterExit:
+    def test_unclosed_manager_lets_the_interpreter_exit(self):
+        # Worker children are not daemonic (so they may fan out), and
+        # multiprocessing joins non-daemonic children at exit; a shutdown
+        # hook must stop them or this script would never end.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        script = textwrap.dedent(
+            """
+            from repro.core.enumerator import EnumerationConfig
+            from repro.service.jobs import JobManager
+            from repro.service.protocol import SynthesisRequest
+
+            manager = JobManager(workers=1)
+            job, _ = manager.submit(
+                SynthesisRequest.build(
+                    "tso", bound=2, config=EnumerationConfig(max_events=2)
+                )
+            )
+            print(manager.result(job.job_id, timeout=60).state)
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "done"

@@ -3,6 +3,7 @@
 import asyncio
 import json
 import threading
+import time
 
 import pytest
 
@@ -203,3 +204,31 @@ class TestTcpTransport:
             client.shutdown()
             thread.join(5)
             manager.close()
+
+
+class TestShutdown:
+    def test_idle_client_does_not_log_a_cancelled_handler(
+        self, daemon, caplog
+    ):
+        import logging
+        import socket as socketlib
+
+        client, _ = daemon
+        idle = socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM)
+        idle.settimeout(10)
+        idle.connect(client.address)
+        try:
+            assert client.ping()  # the idle connection is accepted by now
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                client.shutdown()
+                # the server hangs up on the idle client instead of
+                # cancelling its handler
+                assert idle.recv(1) == b""
+                time.sleep(0.2)  # let the server's loop finish exiting
+        finally:
+            idle.close()
+        assert [
+            record.getMessage()
+            for record in caplog.records
+            if record.name == "asyncio" and record.levelno >= logging.ERROR
+        ] == []

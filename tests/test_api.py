@@ -1,5 +1,8 @@
 """Public API surface tests."""
 
+import os
+import re
+
 import pytest
 
 import repro
@@ -8,6 +11,26 @@ import repro
 class TestPublicAPI:
     def test_version(self):
         assert repro.__version__
+
+    def test_pyproject_takes_its_version_from_the_package(self):
+        # a regex, not tomllib: Python 3.10 has no TOML parser
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+            text = fh.read()
+        project = re.search(r"^\[project\]$(.*?)(?=^\[)", text, re.M | re.S)
+        assert project is not None
+        static = re.search(r'^version\s*=\s*"([^"]*)"', project.group(1), re.M)
+        if static is not None:
+            assert static.group(1) == repro.__version__
+        else:
+            assert re.search(
+                r'^dynamic\s*=\s*\[[^\]]*"version"', project.group(1), re.M
+            )
+            assert re.search(
+                r'^version\s*=\s*\{\s*attr\s*=\s*"repro\.__version__"\s*\}',
+                text,
+                re.M,
+            )
 
     def test_quickstart_flow(self):
         """The README quickstart must work verbatim."""
