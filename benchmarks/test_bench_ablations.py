@@ -170,40 +170,6 @@ class TestOracleComparison:
         )
 
 
-class TestIncrementalOracle:
-    def test_incremental_vs_cold_solver(self, report, benchmark):
-        """The incremental engine must beat the cold-solver baseline on
-        the x86-TSO size-4 workload and agree with it byte-for-byte.
-        Emits ``BENCH_oracle.json`` (per-query latency, cache hit rates,
-        end-to-end wall time) next to ``bench_report.txt``."""
-        import json
-
-        from repro.bench import oracle_workload_report
-
-        envelope = run_once(benchmark, lambda: oracle_workload_report("tso", 4))
-        with open("BENCH_oracle.json", "w") as fh:
-            json.dump(envelope, fh, indent=2)
-            fh.write("\n")
-        assert envelope["schema"] == {"name": "bench-oracle", "version": 3}
-        result = envelope["payload"]
-        inc, cold = result["incremental"], result["cold"]
-        pre = result["prefilter"]
-        report.append(
-            "[incremental oracle] TSO bound-4 relational synthesis: "
-            f"incremental={inc['wall_seconds']:.2f}s "
-            f"({inc['per_query_seconds'] * 1e6:.0f}us/query) vs "
-            f"cold={cold['wall_seconds']:.2f}s "
-            f"({cold['per_query_seconds'] * 1e6:.0f}us/query), "
-            f"speedup={result['speedup']:.2f}x, "
-            f"prefilter={pre['wall_seconds']:.2f}s "
-            f"(hit_rate={pre['cache'].get('prefilter_hit_rate', 0.0):.0%}), "
-            f"byte_identical={result['byte_identical']}"
-        )
-        assert result["byte_identical"]
-        assert result["speedup"] >= 1.0
-        assert pre["cache"].get("prefilter_hit_rate", 0.0) > 0.0
-
-
 class TestDependencyVocabulary:
     def test_power_dep_blowup(self, report, benchmark):
         """§6.2: 'three separate types of dependency ... means each basic

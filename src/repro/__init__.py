@@ -100,7 +100,7 @@ from repro.service import (
     SynthesisRequest,
 )
 
-__version__ = "1.4.0"
+__version__ = "1.5.0"
 
 __all__ = [
     "__version__",

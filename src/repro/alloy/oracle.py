@@ -8,8 +8,7 @@ It is the faithful reproduction of the Alloy/Kodkod/MiniSAT stack, and
 the two oracles are cross-validated against each other in the test
 suite.
 
-Since the incremental rework, the oracle amortizes its SAT work the way
-Kodkod does:
+The oracle amortizes its SAT work the way Kodkod does:
 
 * **Sessions** — each litmus test gets one long-lived
   :class:`~repro.relational.solve.ModelFinder`; the well-formedness
@@ -22,21 +21,8 @@ Kodkod does:
   (in-memory LRU, optional on-disk layer), so re-visited forms skip the
   translator entirely.
 * **Determinism** — enumerated executions are sorted by a canonical key
-  before use, so incremental and cold runs produce identical results
-  even though solver enumeration order differs with solver state.
-* **Prefilter** (opt-in, ``prefilter=True``) — fully-pinned per-axiom
-  queries are ground relational evaluations, so the polynomial
-  pre-filter (:class:`repro.analysis.flow.prefilter.ExecutionPrefilter`)
-  answers them before the solver is consulted; only undecided queries
-  fall back to SAT.  Hit/fallback counters surface through
-  :meth:`AlloyOracle.as_metrics` as ``prefilter_*`` and the derived
-  ``prefilter_hit_rate``.  Verdicts agree with the pinned SAT query by
-  construction and are cross-validated in the test suite and through
-  the difftest harness.
-
-``incremental=False`` restores the cold baseline: a fresh finder (and
-fresh solver) per query, no session reuse, no compilation cache, no
-prefilter — kept for A/B benchmarking and the equivalence test grid.
+  before use, so results do not depend on the enumeration order the
+  warm solver's state happens to produce.
 """
 
 from __future__ import annotations
@@ -100,17 +86,10 @@ class _Session:
                 self.finder.translator.relation_matrix(name)
             if cache is not None:
                 cache.put(key, compile_snapshot(self.finder, self.selectors))
-        self.prefilter = (
-            oracle._prefilter_cls(self.encoding)
-            if oracle._prefilter_cls is not None
-            else None
-        )
         self._enumerated: dict[str | None, tuple[Execution, ...]] = {}
         self._pins: dict[Execution, list[int]] = {}
 
-    def _assumptions(self, axiom: str | None) -> list[int]:
-        if axiom is None:
-            return []
+    def _assumptions(self, axiom: str) -> list[int]:
         if axiom == _FULL_MODEL:
             return [s for s in self.selectors.values() if s is not None]
         sel = self.selectors[axiom]
@@ -122,23 +101,19 @@ class _Session:
         ``axiom`` is None (facts only), an axiom name, or ``"*"`` for the
         whole model.  Each selection computes at most once per session.
 
-        In incremental mode the execution space enumerates exactly once
-        (the facts-only query); every axiom selection then *filters* that
-        list with pinned-assumption queries — each is a single unit
-        propagation against the warm solver, no model search, no blocking
-        clauses.  Cold mode re-enumerates per selection, which is the
-        baseline the paper's rebuilt-per-query pipeline pays.
+        The execution space enumerates exactly once (the facts-only
+        query); every axiom selection then *filters* that list with
+        pinned-assumption queries — each is a single unit propagation
+        against the warm solver, no model search, no blocking clauses.
         """
         cached = self._enumerated.get(axiom)
         if cached is not None:
             return cached
-        if axiom is None or not self.oracle.incremental:
+        if axiom is None:
             decode = self.encoding.decode
             found = [
                 decode(inst)
-                for inst in self.finder.instances_assuming(
-                    self._assumptions(axiom), project=self.dyn_names
-                )
+                for inst in self.finder.instances_assuming([], project=self.dyn_names)
             ]
             found.sort(key=_execution_key)
             cached = tuple(found)
@@ -170,33 +145,8 @@ class _Session:
     def _selection_holds(self, execution: Execution, axiom: str) -> bool:
         """Does one execution satisfy one axiom selection (or ``"*"``)?
 
-        With the prefilter on, the static evaluator answers first; every
-        decided query skips the solver entirely.  Undecided queries (and
-        all queries with the prefilter off) fall back to the pinned
-        assumption query.  The two paths agree by construction — the
-        static env pins exactly the tuples :meth:`_satisfies` assumes —
-        and the agreement is cross-validated in the test grid.
-        """
-        if self.prefilter is not None:
-            oracle = self.oracle
-            oracle._prefilter_queries += 1
-            if axiom == _FULL_MODEL:
-                verdict = self.prefilter.model_verdict(
-                    execution, oracle._formulas.values()
-                )
-            else:
-                verdict = self.prefilter.axiom_verdict(
-                    execution, oracle._formulas[axiom]
-                )
-            if verdict is not None:
-                oracle._prefilter_hits += 1
-                return verdict
-            oracle._prefilter_fallbacks += 1
-        return self._satisfies(execution, self._assumptions(axiom))
-
-    def _satisfies(self, execution: Execution, selectors: list[int]) -> bool:
-        """One pinned query: all free rf/co/sc variables assumed to the
-        execution's values, plus the given axiom selectors."""
+        One pinned query: all free rf/co/sc variables assumed to the
+        execution's values, plus the selection's axiom selectors."""
         pins = self._pins.get(execution)
         if pins is None:
             pinned = self._pinned_tuples(execution)
@@ -208,7 +158,7 @@ class _Session:
                     var = self.finder.tuple_vars[(name, t)]
                     pins.append(var if t in tuples else -var)
             self._pins[execution] = pins
-        return self.finder.check_assuming(selectors + pins)
+        return self.finder.check_assuming(self._assumptions(axiom) + pins)
 
     def check_execution(self, execution: Execution) -> bool:
         """Model-validity of one concrete execution, by pinning every
@@ -256,28 +206,21 @@ class AlloyOracle:
     Args:
         model_name: one of :data:`repro.alloy.models.ALLOY_MODELS`.
         analysis_cache: LRU capacity of the per-test analysis cache.
-        incremental: reuse one warm solver per test (default).  False
-            restores the cold baseline: fresh finder per query.
         session_cache: LRU capacity of live incremental sessions (each
             holds a solver with its learnt-clause database).
         compile_cache: in-memory capacity of the CNF compilation cache;
             0 disables it (the analysis lints flag that configuration).
         cnf_cache_dir: optional directory for the on-disk compilation
             cache layer, shared across processes and runs.
-        prefilter: answer fully-pinned queries with the polynomial
-            static evaluator before the solver (incremental mode only;
-            the flag is inert in cold mode and the lints flag that).
     """
 
     def __init__(
         self,
         model_name: str,
         analysis_cache: int = 1024,
-        incremental: bool = True,
         session_cache: int = 64,
         compile_cache: int = 256,
         cnf_cache_dir: str | None = None,
-        prefilter: bool = False,
     ):
         if model_name not in ALLOY_MODELS:
             known = ", ".join(sorted(ALLOY_MODELS))
@@ -289,7 +232,6 @@ class AlloyOracle:
         factory, with_sc = ALLOY_MODELS[model_name]
         self._formulas = factory()
         self.with_sc = with_sc
-        self.incremental = incremental
         self._analysis: OrderedDict[LitmusTest, TestAnalysis] = OrderedDict()
         self._analysis_cache = analysis_cache
         self._analyses = 0
@@ -299,19 +241,8 @@ class AlloyOracle:
         self._session_count = 0
         self._session_hits = 0
         self._sat_totals = SolverStats()
-        self.prefilter = bool(prefilter) and incremental
-        self._prefilter_cls = None
-        if self.prefilter:
-            # Runtime import: repro.analysis imports this module's package
-            # siblings at its own init, so the top level must stay clean.
-            from repro.analysis.flow.prefilter import ExecutionPrefilter
-
-            self._prefilter_cls = ExecutionPrefilter
-        self._prefilter_queries = 0
-        self._prefilter_hits = 0
-        self._prefilter_fallbacks = 0
         self._cnf_cache: CNFCache | None = None
-        if incremental and (compile_cache > 0 or cnf_cache_dir is not None):
+        if compile_cache > 0 or cnf_cache_dir is not None:
             self._cnf_cache = CNFCache(
                 self.model_fingerprint(),
                 capacity=compile_cache,
@@ -333,10 +264,7 @@ class AlloyOracle:
     # -- sessions -------------------------------------------------------------------
 
     def _session(self, test: LitmusTest) -> _Session:
-        """The live session for a test (cold mode: always a fresh one)."""
-        if not self.incremental:
-            self._session_count += 1
-            return _Session(self, test)
+        """The live session for a test, built on first use."""
         session = self._sessions.get(test)
         if session is not None:
             self._sessions.move_to_end(test)
@@ -350,12 +278,6 @@ class AlloyOracle:
             self._sat_totals.add(evicted.solver_stats)
         return session
 
-    def _finish(self, session: _Session) -> None:
-        # cold-mode sessions are single-use; bank their counters before
-        # they are dropped so telemetry covers both modes
-        if not self.incremental:
-            self._sat_totals.add(session.solver_stats)
-
     # -- queries -------------------------------------------------------------------
 
     def axiom_names(self) -> tuple[str, ...]:
@@ -363,20 +285,14 @@ class AlloyOracle:
 
     def executions(self, test: LitmusTest) -> Iterator[Execution]:
         """All well-formed executions (the facts alone)."""
-        session = self._session(test)
-        found = session.executions_for(None)
-        self._finish(session)
-        yield from found
+        yield from self._session(test).executions_for(None)
 
     def valid_executions(
         self, test: LitmusTest, axiom: str | None = None
     ) -> Iterator[Execution]:
         """Executions satisfying one axiom (or the whole model)."""
         label = _FULL_MODEL if axiom is None else axiom
-        session = self._session(test)
-        found = session.executions_for(label)
-        self._finish(session)
-        yield from found
+        yield from self._session(test).executions_for(label)
 
     def valid_outcomes(self, test: LitmusTest) -> frozenset[Outcome]:
         return frozenset(
@@ -385,8 +301,7 @@ class AlloyOracle:
 
     def analyze(self, test: LitmusTest) -> TestAnalysis:
         """Outcome landscape via model finding (one enumeration for the
-        execution space, one per axiom) — all against one warm solver in
-        incremental mode."""
+        execution space, one per axiom) — all against one warm solver."""
         cached = self._analysis.get(test)
         if cached is not None:
             self._analysis_hits += 1
@@ -414,10 +329,7 @@ class AlloyOracle:
 
     def is_valid(self, execution: Execution) -> bool:
         """Check one concrete execution by pinning rf/co/sc exactly."""
-        session = self._session(execution.test)
-        result = session.check_execution(execution)
-        self._finish(session)
-        return result
+        return self._session(execution.test).check_execution(execution)
 
     # -- telemetry -----------------------------------------------------------------
 
@@ -441,10 +353,6 @@ class AlloyOracle:
             "sessions": self._session_count,
             "session_hits": self._session_hits,
         }
-        if self.prefilter:
-            stats["prefilter_queries"] = self._prefilter_queries
-            stats["prefilter_hits"] = self._prefilter_hits
-            stats["prefilter_fallbacks"] = self._prefilter_fallbacks
         if self._cnf_cache is not None:
             stats.update(self._cnf_cache.as_metrics())
         for name, value in sat.as_metrics().items():

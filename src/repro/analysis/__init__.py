@@ -12,8 +12,7 @@ Three pass families over the synthesis stack's inputs:
   (:mod:`repro.analysis.obs_lint`).
 
 The dataflow layer (:mod:`repro.analysis.flow`) contributes semantic
-passes to the model and litmus families (``MDL01x``/``LIT01x``) plus
-the polynomial execution pre-filter behind ``--prefilter``.
+passes to the model and litmus families (``MDL01x``/``LIT01x``).
 
 Importing this package registers every pass.  Entry points:
 ``lint_registry`` (the registry-wide self-check behind ``repro lint``)
@@ -37,11 +36,7 @@ from repro.analysis.diagnostics import (
     render_json,
     render_text,
 )
-from repro.analysis.flow import (
-    ExecutionPrefilter,
-    application_counts,
-    fr_statically_empty,
-)
+from repro.analysis.flow import application_counts, fr_statically_empty
 from repro.analysis.difftest_lint import (
     lint_corpus,
     lint_mutant_registry,
@@ -85,7 +80,6 @@ __all__ = [
     "parse_suppression",
     "render_text",
     "render_json",
-    "ExecutionPrefilter",
     "application_counts",
     "fr_statically_empty",
     "ModelLintContext",

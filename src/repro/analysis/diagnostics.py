@@ -61,7 +61,7 @@ DIAGNOSTIC_IDS: dict[str, str] = {
     "SAT004": "duplicate literal within one clause",
     "SAT005": "literal references a variable beyond num_vars",
     "SAT006": "unit clause in the input",
-    "SAT007": "oracle knob combination that silently does nothing",
+    "SAT007": "oracle knob the chosen oracle silently ignores",
     "SAT008": "CNF cache directory holds stale or mixed entries",
     "SAT009": "warm CNF cache produced zero compile hits",
     "DIF001": "corpus entry is stale (unregistered model or healed)",

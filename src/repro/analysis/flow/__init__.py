@@ -1,6 +1,6 @@
 """Dataflow-style static analysis over model ASTs and the litmus IR.
 
-Three layers, all built on one abstract domain — tuple-set intervals
+Two layers, both built on one abstract domain — tuple-set intervals
 with Kleene three-valued formula evaluation
 (:mod:`repro.analysis.flow.absint`):
 
@@ -12,12 +12,8 @@ with Kleene three-valued formula evaluation
   closed-form relaxation-application counts proving perturbations
   inapplicable without a solver round-trip (``LIT010``, feeding the
   enumerator's ``early_reject`` hook) and statically-singleton
-  execution spaces (``LIT011``);
-* **execution pre-filter** (:mod:`repro.analysis.flow.prefilter`) — a
-  polynomial decision procedure for the SAT oracle's fully-pinned
-  per-axiom queries, wired behind ``--prefilter`` on ``synthesize`` and
-  ``difftest`` and instrumented via :mod:`repro.obs`
-  (``prefilter_hit_rate``).
+  execution spaces (``LIT011``), plus the ``fr`` emptiness proof the
+  difftest ``empty:fr`` mutation consults.
 
 Importing this package registers the flow passes in the lint registry.
 """
@@ -38,12 +34,10 @@ from repro.analysis.flow.absint import (
     render_expr,
     render_formula,
 )
-from repro.analysis.flow.applicability import application_counts
-from repro.analysis.flow.prefilter import (
-    ExecutionPrefilter,
+from repro.analysis.flow.applicability import (
+    application_counts,
     dynamic_intervals,
     fr_statically_empty,
-    pinned_tuples,
 )
 
 __all__ = [
@@ -58,8 +52,6 @@ __all__ = [
     "render_expr",
     "render_formula",
     "application_counts",
-    "ExecutionPrefilter",
-    "pinned_tuples",
     "fr_statically_empty",
     "dynamic_intervals",
 ]

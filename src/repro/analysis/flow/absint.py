@@ -12,16 +12,12 @@ monotone transfer function — for ``Diff`` the bounds cross over
 
 Formulas evaluate to Kleene three-valued logic (:class:`Tri`): a
 ``TRUE``/``FALSE`` verdict is sound for *every* concretization of the
-environment, ``UNKNOWN`` means the bounds cannot decide.  Two key
-completeness facts the rest of ``repro.analysis.flow`` relies on:
-
-* with an **exact** environment (every binding ``lower == upper``) every
-  rule is complete, so evaluation is total — this is what makes the
-  polynomial execution pre-filter (:mod:`repro.analysis.flow.prefilter`)
-  a decision procedure rather than a heuristic;
-* emptiness of ``upper`` is preserved by every operator except
-  ``RClosure``/``Iden``/``UnivExpr``, which is what lets the difftest
-  campaign prove ``empty:fr``-style mutations vacuous without a solver.
+environment, ``UNKNOWN`` means the bounds cannot decide.  With an
+**exact** environment (every binding ``lower == upper``) every rule is
+complete, so a ground formula always gets a ``TRUE``/``FALSE`` verdict.
+Emptiness of ``upper`` is preserved by every operator except
+``RClosure``/``Iden``/``UnivExpr``, which is what lets the difftest
+campaign prove ``empty:fr``-style mutations vacuous without a solver.
 """
 
 from __future__ import annotations

@@ -24,23 +24,31 @@ query.  LIT011 stays informational: a test whose dynamic relations are
 all statically empty admits exactly one well-formed execution and can
 never exhibit a forbidden outcome, but rejecting it is the enumerator's
 communication filter's job.
+
+Also here: :func:`dynamic_intervals`, the static bounds behind LIT011,
+and :func:`fr_statically_empty`, the emptiness analysis the difftest
+``empty:fr`` mutation consults.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 
+from repro.alloy.encoding import CO, RF, SC_REL, LitmusEncoding
 from repro.analysis.diagnostics import Diagnostic, Severity
-from repro.analysis.flow.prefilter import dynamic_intervals
+from repro.analysis.flow.absint import Interval, env_from_problem, eval_expr
 from repro.analysis.registry import LitmusLintContext, register_pass
 from repro.litmus.test import LitmusTest
 from repro.models.base import Vocabulary
+from repro.relational import ast
 from repro.relax.instruction import relaxations_for
 
 __all__ = [
     "application_counts",
     "check_static_applicability",
     "check_singleton_executions",
+    "dynamic_intervals",
+    "fr_statically_empty",
 ]
 
 
@@ -152,3 +160,27 @@ def check_singleton_executions(
         hint="informational; such tests cannot discriminate between "
         "models and never enter a synthesized suite",
     )
+
+
+def dynamic_intervals(
+    test: LitmusTest, with_sc: bool = False
+) -> dict[str, Interval]:
+    """Static bounds of the dynamic relations, keyed by relation name."""
+    problem = LitmusEncoding(test, with_sc=with_sc).problem
+    env = env_from_problem(problem)
+    names = [RF, CO] + ([SC_REL] if with_sc else [])
+    return {name: eval_expr(ast.Rel(name), env) for name in names}
+
+
+def fr_statically_empty(test: LitmusTest) -> bool:
+    """Can ``fr`` (Fig. 4's from-reads) ever hold a tuple on this test?
+
+    ``fr``'s upper bound is the set of same-address (read, write) pairs
+    — the subtracted ``no_later`` term has an empty lower bound because
+    ``rf`` does — so the abstract answer is exact: an empty upper bound
+    means *every* execution of the test has an empty ``fr``, making any
+    ``empty:fr``-style mutation behaviourally identical to the stock
+    model on this test."""
+    encoding = LitmusEncoding(test)
+    env = env_from_problem(encoding.problem)
+    return not eval_expr(LitmusEncoding.fr(), env).upper

@@ -16,7 +16,7 @@ SAT003   error     empty clause (formula trivially unsatisfiable)
 SAT004   info      duplicate literal within one clause
 SAT005   error     literal references a variable beyond ``num_vars``
 SAT006   info      unit clause in the input (fine, but worth surfacing)
-SAT007   warning   oracle configuration silently disables the CNF cache
+SAT007   warning   oracle configuration silently ignores the CNF cache
 SAT008   warning   CNF cache directory mixes incompatible fingerprints
 SAT009   warning   warm CNF cache produced zero compile hits
 =======  ========  ==========================================================
@@ -185,67 +185,28 @@ def lint_clause_context(ctx: ClauseLintContext) -> Iterable[Diagnostic]:
 
 
 def lint_oracle_options(opts) -> list[Diagnostic]:
-    """SAT007: oracle knob combinations that silently do nothing.
+    """SAT007: an oracle knob the chosen oracle silently ignores.
 
-    Takes an :class:`repro.core.synthesis.OracleSpec`, anything with an
-    ``oracle_spec`` attribute (a
-    :class:`repro.core.synthesis.SynthesisOptions`), or any object with
-    the loose ``oracle``/``incremental``/``cnf_cache_dir``/``prefilter``
-    attributes.  The dangerous shapes are the ones where a user *asked*
-    for caching or tuned a relational-only knob and the pipeline quietly
-    ignores it.
+    Takes an :class:`repro.core.synthesis.OracleSpec` or anything with
+    an ``oracle_spec`` attribute (a
+    :class:`repro.core.synthesis.SynthesisOptions`).  The one such knob
+    is ``cnf_cache_dir``: the user *asked* for caching, and the explicit
+    oracle quietly never compiles anything to cache.
     """
     target = getattr(opts, "oracle_spec", opts)
-    oracle = getattr(target, "oracle", "explicit")
-    incremental = getattr(target, "incremental", True)
-    cache_dir = getattr(target, "cnf_cache_dir", None)
-    prefilter = getattr(target, "prefilter", False)
-    out: list[Diagnostic] = []
-    if oracle == "relational":
-        if not incremental and cache_dir is not None:
-            out.append(
-                Diagnostic(
-                    "SAT007",
-                    Severity.WARNING,
-                    "options:cnf_cache_dir",
-                    "cold-solver mode (incremental=False) disables the "
-                    "CNF compilation cache, so cnf_cache_dir is ignored",
-                    hint="drop cnf_cache_dir or re-enable incremental "
-                    "solving",
-                )
-            )
-        if not incremental and prefilter:
-            out.append(
-                Diagnostic(
-                    "SAT007",
-                    Severity.WARNING,
-                    "options:prefilter",
-                    "cold-solver mode (incremental=False) re-enumerates "
-                    "per query instead of filtering pinned executions, so "
-                    "the static prefilter never runs",
-                    hint="drop --cold-solver to make --prefilter "
-                    "effective",
-                )
-            )
-    else:
-        for knob, active in (
-            ("cnf_cache_dir", cache_dir is not None),
-            ("incremental", not incremental),
-            ("prefilter", prefilter),
-        ):
-            if active:
-                out.append(
-                    Diagnostic(
-                        "SAT007",
-                        Severity.WARNING,
-                        f"options:{knob}",
-                        f"{knob} only affects the relational oracle; the "
-                        "explicit oracle ignores it",
-                        hint="pass oracle='relational' (CLI: --oracle "
-                        "relational) to make the knob effective",
-                    )
-                )
-    return out
+    if target.oracle == "relational" or target.cnf_cache_dir is None:
+        return []
+    return [
+        Diagnostic(
+            "SAT007",
+            Severity.WARNING,
+            "options:cnf_cache_dir",
+            "cnf_cache_dir only affects the relational oracle; the "
+            "explicit oracle ignores it",
+            hint="pass oracle='relational' (CLI: --oracle relational) to "
+            "make the knob effective",
+        )
+    ]
 
 
 def lint_cnf_cache_dir(directory: str) -> list[Diagnostic]:

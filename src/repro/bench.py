@@ -1,123 +1,27 @@
 """Reusable perf workloads (shared by the bench suite and CI smoke jobs).
 
-The benchmark harness (``benchmarks/``) and the CI smoke scripts
-(``scripts/oracle_perf_smoke.py``, ``scripts/difftest_smoke.py``) must
-measure the *same* workloads the same way, or their numbers aren't
-comparable — so the measurements live here and both call them.
+The benchmark harness (``benchmarks/``) and the CI smoke script
+(``scripts/difftest_smoke.py``) must measure the *same* workload the
+same way, or their numbers aren't comparable — so the measurement lives
+here and both call it.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
-from repro.core.enumerator import EnumerationConfig
-from repro.core.synthesis import OracleSpec, SynthesisOptions, synthesize
-from repro.models.registry import get_model
 from repro.obs import Report
 
 __all__ = [
-    "ORACLE_BENCH_SCHEMA",
-    "ORACLE_BENCH_SCHEMA_NAME",
     "DIFFTEST_BENCH_SCHEMA",
     "DIFFTEST_BENCH_SCHEMA_NAME",
-    "oracle_workload_report",
     "difftest_campaign_report",
 ]
-
-ORACLE_BENCH_SCHEMA_NAME = "bench-oracle"
-#: v1 was the pre-envelope top-level shape; v2 wrapped the same payload
-#: in the unified :class:`repro.obs.Report` envelope; v3 adds the
-#: ``prefilter`` arm (incremental + static prefilter) and extends the
-#: byte-identity verdict across all three arms.
-ORACLE_BENCH_SCHEMA = 3
 
 DIFFTEST_BENCH_SCHEMA_NAME = "bench-difftest"
 #: v1 was the pre-envelope top-level shape; v2 wraps the same payload in
 #: the unified :class:`repro.obs.Report` envelope.
 DIFFTEST_BENCH_SCHEMA = 2
-
-
-def _mode_report(result, wall: float) -> dict:
-    stats = dict(result.oracle_stats)
-    queries = stats.get("sat_queries", 0)
-    return {
-        "wall_seconds": wall,
-        "sat_queries": queries,
-        "per_query_seconds": wall / queries if queries else 0.0,
-        "cache": stats,
-    }
-
-
-def oracle_workload_report(
-    model_name: str = "tso",
-    bound: int = 4,
-    cnf_cache_dir: str | None = None,
-    trace_dir: str | None = None,
-) -> dict:
-    """Run the relational-oracle synthesis workload over three arms:
-    incremental, incremental + static prefilter, and cold.
-
-    The default is the x86-TSO size-4 workload the acceptance numbers
-    are quoted against.  Returns the ``BENCH_oracle.json`` document — a
-    :class:`repro.obs.Report` envelope (``bench-oracle`` v3) whose
-    payload carries end-to-end wall time, per-query latency, and cache
-    hit rates per arm (the ``prefilter`` arm's cache block includes the
-    ``prefilter_*`` counters and derived ``prefilter_hit_rate``), plus
-    the speedup and a byte-identity verdict over all three union
-    suites.  With ``trace_dir`` set, each arm writes its
-    :mod:`repro.obs` trace under ``trace_dir/<arm>``.
-    """
-    model = get_model(model_name)
-    config = EnumerationConfig(
-        max_events=bound, max_addresses=2, max_deps=0, max_rmws=0
-    )
-
-    def run(arm: str, incremental: bool, prefilter: bool = False):
-        opts = SynthesisOptions(
-            bound=bound,
-            config=config,
-            oracle_spec=OracleSpec(
-                oracle="relational",
-                incremental=incremental,
-                cnf_cache_dir=cnf_cache_dir if incremental else None,
-                prefilter=prefilter,
-            ),
-            trace_dir=(
-                os.path.join(trace_dir, arm) if trace_dir is not None else None
-            ),
-        )
-        t0 = time.perf_counter()
-        result = synthesize(model, opts)
-        return result, time.perf_counter() - t0
-
-    incremental, t_inc = run("incremental", True)
-    prefiltered, t_pre = run("prefilter", True, prefilter=True)
-    cold, t_cold = run("cold", False)
-    union_json = incremental.union.to_json()
-    payload = {
-        "workload": {
-            "model": model_name,
-            "bound": bound,
-            "max_addresses": config.max_addresses,
-            "oracle": "relational",
-        },
-        "incremental": _mode_report(incremental, t_inc),
-        "prefilter": _mode_report(prefiltered, t_pre),
-        "cold": _mode_report(cold, t_cold),
-        "speedup": t_cold / t_inc if t_inc else 0.0,
-        "prefilter_speedup": t_inc / t_pre if t_pre else 0.0,
-        "byte_identical": (
-            union_json == cold.union.to_json()
-            and union_json == prefiltered.union.to_json()
-        ),
-    }
-    return Report(
-        schema_name=ORACLE_BENCH_SCHEMA_NAME,
-        schema_version=ORACLE_BENCH_SCHEMA,
-        command="bench",
-        payload=payload,
-    ).to_json_dict()
 
 
 def difftest_campaign_report(

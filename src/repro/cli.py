@@ -7,8 +7,7 @@
     litmus-synth synthesize --model tso --bound 4 [--axiom causality]
                             [--mode exact|execution|execution-wa]
                             [--jobs N] [--checkpoint-dir D] [--json]
-                            [--oracle explicit|relational] [--cold-solver]
-                            [--prefilter] [--cnf-cache-dir D]
+                            [--oracle explicit|relational] [--cnf-cache-dir D]
                             [--trace-dir D] [--out suite.json]
                             [--server ADDR]
     litmus-synth check --model tso test.litmus
@@ -18,7 +17,7 @@
                          [--reference owens|cambridge|suite.json] [--json]
     litmus-synth difftest --model tso [--seed 0] [--budget 100]
                           [--mutants TAG ...] [--corpus-dir D] [--jobs N]
-                          [--prefilter] [--trace-dir D] [--json]
+                          [--trace-dir D] [--json]
                           [--list-mutants]
     litmus-synth report TRACE_DIR [--json]
     litmus-synth serve (--socket PATH | --port N) [--pool-workers N]
@@ -33,7 +32,9 @@
                       [--suppress ID[:GLOB]] [tests.litmus ...]
 
 File errors are uniformly reported as ``error: <path>: <reason>`` on
-stderr with exit status 2.
+stderr with exit status 2, and so are invalid option combinations
+(``error: <reason>``), such as a relational oracle for a model without
+an Alloy encoding.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ def _cmd_table2(_args) -> int:
 
 
 def add_oracle_args(parser: argparse.ArgumentParser) -> None:
-    """The four oracle-configuration flags, exactly one
+    """The two oracle-configuration flags, exactly one
     :class:`OracleSpec` worth.
 
     Every subcommand that builds a request adds these through this one
@@ -182,19 +183,6 @@ def add_oracle_args(parser: argparse.ArgumentParser) -> None:
         "relational SAT pipeline (identical output, paper-faithful path)",
     )
     parser.add_argument(
-        "--cold-solver",
-        action="store_true",
-        help="relational oracle only: fresh solver per query instead of "
-        "the incremental engine (A/B baseline; much slower)",
-    )
-    parser.add_argument(
-        "--prefilter",
-        action="store_true",
-        help="relational oracle only: answer fully-pinned per-axiom "
-        "queries with the polynomial static evaluator before SAT "
-        "(identical output; hit rate lands in the oracle stats)",
-    )
-    parser.add_argument(
         "--cnf-cache-dir",
         default=None,
         help="relational oracle only: on-disk CNF compilation cache "
@@ -205,12 +193,7 @@ def add_oracle_args(parser: argparse.ArgumentParser) -> None:
 def oracle_spec_from_args(args) -> OracleSpec:
     """The :class:`OracleSpec` an :func:`add_oracle_args` flag set
     describes (the inverse of the parser half of the pair)."""
-    return OracleSpec(
-        oracle=args.oracle,
-        incremental=not args.cold_solver,
-        cnf_cache_dir=args.cnf_cache_dir,
-        prefilter=args.prefilter,
-    )
+    return OracleSpec(oracle=args.oracle, cnf_cache_dir=args.cnf_cache_dir)
 
 
 def _synthesis_options(args) -> SynthesisOptions:
@@ -274,7 +257,7 @@ def _cmd_synthesize(args) -> int:
     else:
         try:
             result = synthesize(model, options)
-        except CheckpointError as exc:
+        except (CheckpointError, ValueError) as exc:
             raise _CliError(str(exc)) from exc
     _warn_diagnostics(
         analysis.lint_warm_compile(result.oracle_stats, subject="oracle")
@@ -500,7 +483,6 @@ def _cmd_difftest(args) -> int:
             mutants=mutants,
             corpus_dir=args.corpus_dir,
             jobs=args.jobs,
-            oracle_spec=OracleSpec(prefilter=args.prefilter),
             trace_dir=args.trace_dir,
             generator=GeneratorConfig(
                 max_events=args.max_events,
@@ -927,13 +909,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="worker processes; output is byte-identical to --jobs 1",
-    )
-    p.add_argument(
-        "--prefilter",
-        action="store_true",
-        help="route the campaign's relational oracle through the "
-        "polynomial static prefilter (also exercises its agreement "
-        "with the explicit oracle)",
     )
     p.add_argument("--max-events", type=int, default=4)
     p.add_argument("--max-threads", type=int, default=3)

@@ -52,6 +52,7 @@ __all__ = [
     "RESULT_SCHEMA_VERSION",
     "ORACLES",
     "build_checker",
+    "check_oracle_spec",
     "fingerprint",
     "run_sequential",
     "synthesize_shard",
@@ -91,24 +92,13 @@ class OracleSpec:
             ``"explicit"`` (enumeration, the default) or ``"relational"``
             (the SAT/model-finding stack; only for models with an Alloy
             encoding).
-        incremental: with the relational oracle, reuse one warm
-            incremental solver per test (default).  False forces the
-            cold-solver baseline — one fresh solver per query — kept for
-            A/B benchmarking; results are identical either way.
         cnf_cache_dir: optional on-disk CNF compilation cache directory
             for the relational oracle, shared across worker processes
             and across runs.
-        prefilter: with the relational oracle in incremental mode,
-            answer fully-pinned per-axiom queries with the polynomial
-            static evaluator (:mod:`repro.analysis.flow`) before falling
-            back to SAT.  Output is identical with or without it; the
-            hit/fallback counters land in the oracle stats.
     """
 
     oracle: str = "explicit"
-    incremental: bool = True
     cnf_cache_dir: str | None = None
-    prefilter: bool = False
 
     def __post_init__(self) -> None:
         if self.oracle not in ORACLES:
@@ -118,18 +108,11 @@ class OracleSpec:
 
     def to_payload(self) -> dict:
         """The JSON-safe wire form (see :mod:`repro.service.protocol`)."""
-        return {
-            "oracle": self.oracle,
-            "incremental": self.incremental,
-            "cnf_cache_dir": self.cnf_cache_dir,
-            "prefilter": self.prefilter,
-        }
+        return {"oracle": self.oracle, "cnf_cache_dir": self.cnf_cache_dir}
 
     @classmethod
     def from_payload(cls, payload: dict) -> OracleSpec:
-        unknown = set(payload) - {
-            "oracle", "incremental", "cnf_cache_dir", "prefilter"
-        }
+        unknown = set(payload) - {"oracle", "cnf_cache_dir"}
         if unknown:
             raise ValueError(f"unknown oracle spec fields {sorted(unknown)}")
         return cls(**payload)
@@ -149,14 +132,12 @@ class SynthesisOptions:
         candidates: explicit candidate stream (overrides the enumerator —
             used by tests and suite-from-corpus workflows; incompatible
             with ``jobs > 1`` / checkpointing).
-        progress: callback invoked with the running candidate count —
-            every 1000 candidates in an unsharded run, after each
-            completed shard in a sharded one.
         progress_events: callback invoked with structured progress
-            event dicts (always carrying a ``"phase"`` key) — periodic
-            ``enumerate`` events plus a final ``finish`` event in an
-            unsharded run, one ``shard`` event per completed shard in a
-            sharded one.  Process-local (never serializes); the
+            event dicts (always carrying a ``"phase"`` key) — an
+            ``enumerate`` event every 1000 candidates plus a final
+            ``finish`` event in an unsharded run, one ``shard`` event
+            (with the running ``total_candidates``) per completed shard
+            in a sharded one.  Process-local (never serializes); the
             service daemon wires it to the streamed ``job-progress``
             wire messages.
         reject: opt-in early filter passed to the enumerator; candidates
@@ -174,8 +155,8 @@ class SynthesisOptions:
             amortize worker warm-up, large enough for balance and useful
             checkpoint granularity).
         oracle_spec: the oracle configuration (:class:`OracleSpec`) —
-            backend choice plus the relational oracle's incremental /
-            CNF-cache / prefilter knobs.
+            backend choice plus the relational oracle's CNF-cache
+            directory.
         trace_dir: optional directory for :mod:`repro.obs` trace files
             (driver phase spans, per-shard span/counter streams, and the
             deterministic ``merged.jsonl``, byte-identical for every job
@@ -189,7 +170,6 @@ class SynthesisOptions:
     config: EnumerationConfig | None = None
     exact_symmetry: bool = True
     candidates: Iterable[LitmusTest] | None = None
-    progress: Callable[[int], None] | None = None
     progress_events: Callable[[dict], None] | None = None
     reject: Callable[[LitmusTest], bool] | str | None = None
     jobs: int = 1
@@ -340,6 +320,34 @@ class SynthesisResult:
         return "\n".join(lines)
 
 
+def check_oracle_spec(
+    model: MemoryModel, mode: CriterionMode, spec: OracleSpec
+) -> None:
+    """Raise :class:`ValueError` unless ``spec`` can serve ``model``
+    under ``mode``.
+
+    The relational oracle needs an Alloy encoding of the model and the
+    exact or execution criterion.  :func:`build_checker` calls this, and
+    the sharded runtime calls it in the parent before any shard runs,
+    so a bad combination fails at once instead of inside a child.
+    """
+    if spec.oracle != "relational":
+        return
+    if CriterionMode(mode) is CriterionMode.EXECUTION_WA:
+        raise ValueError(
+            "the Fig. 19 workaround criterion needs the explicit "
+            "oracle; use oracle='explicit' with mode=execution-wa"
+        )
+    from repro.alloy.models import ALLOY_MODELS
+
+    if model.name not in ALLOY_MODELS:
+        known = ", ".join(sorted(ALLOY_MODELS))
+        raise ValueError(
+            f"the relational oracle has no Alloy encoding for "
+            f"{model.name!r} (available: {known}); use oracle='explicit'"
+        )
+
+
 def build_checker(
     model: MemoryModel,
     mode: CriterionMode,
@@ -354,20 +362,11 @@ def build_checker(
     mode = CriterionMode(mode)
     if spec is None:
         spec = OracleSpec()
+    check_oracle_spec(model, mode, spec)
     if spec.oracle == "relational":
-        if mode is CriterionMode.EXECUTION_WA:
-            raise ValueError(
-                "the Fig. 19 workaround criterion needs the explicit "
-                "oracle; use oracle='explicit' with mode=execution-wa"
-            )
         from repro.alloy.oracle import AlloyOracle
 
-        backend = AlloyOracle(
-            model.name,
-            incremental=spec.incremental,
-            cnf_cache_dir=spec.cnf_cache_dir,
-            prefilter=spec.prefilter,
-        )
+        backend = AlloyOracle(model.name, cnf_cache_dir=spec.cnf_cache_dir)
         return MinimalityChecker(model, mode, oracle=backend)
     return MinimalityChecker(model, mode)
 
@@ -508,10 +507,9 @@ def synthesize_shard(
     by it reconstructs the unsharded candidate order, which is what lets
     :mod:`repro.exec.merge` produce byte-identical suites.  ``oracle``
     is this shard's share of ``checker``'s counters (a resident checker
-    persists across shards and runs).  ``opts.progress`` /
-    ``opts.progress_events`` hear every 1000th candidate; with
-    ``opts.trace_dir`` the shard streams a span + counters trace to
-    ``shard-NNNN.jsonl``.
+    persists across shards and runs).  ``opts.progress_events`` hears
+    every 1000th candidate; with ``opts.trace_dir`` the shard streams a
+    span + counters trace to ``shard-NNNN.jsonl``.
     """
     t0 = time.perf_counter()
     index = shard[0]
@@ -525,7 +523,6 @@ def synthesize_shard(
             shard=shard,
             reject=opts.resolved_reject(model),
         )
-    progress = opts.progress
     events = opts.progress_events
     axiom_seconds = {name: 0.0 for name in axiom_names}
     seen: set[LitmusTest] = set()
@@ -549,11 +546,8 @@ def synthesize_shard(
                 else:
                     pos += 1
                 n_candidates += 1
-                if n_candidates % 1000 == 0:
-                    if progress is not None:
-                        progress(n_candidates)
-                    if events is not None:
-                        events({"phase": "enumerate", "candidates": n_candidates})
+                if n_candidates % 1000 == 0 and events is not None:
+                    events({"phase": "enumerate", "candidates": n_candidates})
                 canon = canonical_form(test)
                 if canon in seen:
                     continue

@@ -27,7 +27,6 @@ import json
 import os
 from dataclasses import asdict, dataclass, field
 
-from repro.core.synthesis import OracleSpec
 from repro.difftest.corpus import Corpus
 from repro.difftest.discrepancy import KINDS, Discrepancy, discrepancy_fingerprint
 from repro.difftest.generator import GeneratorConfig, TestGenerator
@@ -83,11 +82,6 @@ class CampaignOptions:
     generator: GeneratorConfig = field(default_factory=GeneratorConfig)
     #: cross-check the minimality criterion through both oracles
     minimality: bool = True
-    #: the oracle configuration (only ``prefilter`` steers a campaign
-    #: today: route the relational oracle through the polynomial static
-    #: prefilter, which also exercises its agreement with the explicit
-    #: oracle).
-    oracle_spec: OracleSpec = field(default_factory=OracleSpec)
     #: optional :mod:`repro.obs` trace directory (driver phase spans +
     #: the deterministic merged discrepancy stream)
     trace_dir: str | None = None
@@ -97,11 +91,6 @@ class CampaignOptions:
             raise ValueError(f"budget must be >= 0, got {self.budget}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if not isinstance(self.oracle_spec, OracleSpec):
-            raise TypeError(
-                "oracle_spec must be an OracleSpec, got "
-                f"{type(self.oracle_spec).__name__}"
-            )
 
 
 @dataclass
@@ -232,7 +221,6 @@ def _setup_worker(payload: _ShardPayload):
         opts.model,
         mutants=opts.mutants,
         minimality=opts.minimality,
-        prefilter=opts.oracle_spec.prefilter,
     )
     generator = TestGenerator(harness.model.vocabulary, opts.generator)
     return payload, harness, generator
@@ -330,7 +318,6 @@ def _run_campaign(options: CampaignOptions, tracer: Tracer) -> CampaignReport:
         options.model,
         mutants=options.mutants,
         minimality=options.minimality,
-        prefilter=options.oracle_spec.prefilter,
     )
     corpus = Corpus(options.corpus_dir) if options.corpus_dir else None
 

@@ -60,15 +60,12 @@ class DiffHarness:
         model_name: str,
         mutants: tuple[str, ...] = (),
         minimality: bool = True,
-        prefilter: bool = False,
     ):
         self.model_name = model_name
         self.model = get_model(model_name)
         self.explicit = ExplicitOracle(self.model)
         self.relational = (
-            AlloyOracle(model_name, prefilter=prefilter)
-            if model_name in ALLOY_MODELS
-            else None
+            AlloyOracle(model_name) if model_name in ALLOY_MODELS else None
         )
         #: ``empty:fr`` checks skipped because the static emptiness
         #: analysis proved the test has no fr edge to forget — the mutant

@@ -46,7 +46,7 @@ def run_fingerprint(
     """The identity a checkpoint directory is bound to.
 
     Everything that changes the per-shard output is included; knobs that
-    only change scheduling (``jobs``) or reporting (``progress``) are
+    only change scheduling (``jobs``) or reporting (``progress_events``) are
     deliberately left out so a resume may use a different worker count.
     """
     reject = opts.reject
@@ -66,8 +66,8 @@ def run_fingerprint(
         "reject": reject,
         # the oracle backend determines the shard stats payload (and is
         # the knob equivalence claims are made against), so a resume must
-        # not switch it mid-run; ``incremental``/``cnf_cache_dir`` are
-        # pure wall-clock knobs and stay out, like ``jobs``
+        # not switch it mid-run; ``cnf_cache_dir`` is a pure wall-clock
+        # knob and stays out, like ``jobs``
         "oracle": opts.oracle_spec.oracle,
     }
 

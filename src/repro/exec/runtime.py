@@ -30,6 +30,7 @@ from repro.core.synthesis import (
     SynthesisOptions,
     SynthesisResult,
     build_checker,
+    check_oracle_spec,
     synthesize_shard,
 )
 from repro.exec.checkpoint import (
@@ -100,7 +101,9 @@ def run_sharded(
     """Run one synthesis: plan, replay, fan out, merge.
 
     ``checker`` is a resident checker for in-process (``jobs=1``) runs;
-    child processes always build their own.
+    child processes always build their own.  An oracle the model or
+    criterion cannot use raises :class:`ValueError` here, in the
+    caller's process, before any shard runs.
     """
     sharded = (
         opts.jobs > 1 or opts.shards is not None or opts.checkpoint_dir is not None
@@ -110,6 +113,8 @@ def run_sharded(
             "an explicit candidates stream cannot be sharded; "
             "run it with jobs=1 and no checkpoint_dir"
         )
+    if checker is None:
+        check_oracle_spec(model, opts.mode, opts.oracle_spec)
     start = time.perf_counter()
     if opts.trace_dir is not None:
         _write_trace_meta(opts.trace_dir, model, opts)
@@ -139,7 +144,6 @@ def run_sharded(
                 completed = store.load()
             pending = [i for i in range(shard_count) if i not in completed]
 
-        progress = opts.progress
         events = opts.progress_events
         candidates_done = sum(
             r["stats"]["candidates"] for r in completed.values()
@@ -153,8 +157,6 @@ def run_sharded(
                 store.record(result)
             if not sharded:
                 return  # the loop itself reported progress
-            if progress is not None:
-                progress(candidates_done)
             if events is not None:
                 events(
                     {
@@ -170,11 +172,7 @@ def run_sharded(
 
         with tracer.span("shards", pending=len(pending)):
             # A sharded loop reports per shard (above), not per candidate.
-            shard_opts = (
-                replace(opts, progress=None, progress_events=None)
-                if sharded
-                else opts
-            )
+            shard_opts = replace(opts, progress_events=None) if sharded else opts
             resident = checker if opts.jobs == 1 else None
             task = ResidentTask(
                 _setup, _work, (model, shard_opts, resident, shard_count)

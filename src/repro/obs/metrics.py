@@ -194,10 +194,6 @@ def derive_rates(metrics: dict[str, int | float]) -> dict[str, float]:
         rates["sat_reuse_rate"] = _rate(
             metrics.get("sat_reuse_hits", 0), metrics["sat_queries"]
         )
-    if "prefilter_queries" in metrics:
-        rates["prefilter_hit_rate"] = _rate(
-            metrics.get("prefilter_hits", 0), metrics["prefilter_queries"]
-        )
     if "reject_checks" in metrics:
         rates["early_reject_rate"] = _rate(
             metrics.get("early_rejects", 0), metrics["reject_checks"]

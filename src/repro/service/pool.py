@@ -14,7 +14,7 @@ cache is shared between them.
 Two deliberate behaviors:
 
 * **Per-model CNF cache directories.**  When the pool has a cache base
-  and a relational-incremental request left ``cnf_cache_dir`` unset, the
+  and a relational request left ``cnf_cache_dir`` unset, the
   worker fills in ``<base>/<model>`` — one directory per model, so a
   multi-model daemon never mixes fingerprints (the SAT008 lint's
   complaint) and the warm-entry count stays meaningful.
@@ -131,14 +131,13 @@ class ResidentWorker:
     def effective_request(self, request: SynthesisRequest) -> SynthesisRequest:
         """The request as this worker will actually run it.
 
-        Fills in the pool's per-model CNF cache directory for
-        relational-incremental requests that left ``cnf_cache_dir``
-        unset; everything else passes through untouched."""
+        Fills in the pool's per-model CNF cache directory for relational
+        requests that left ``cnf_cache_dir`` unset; everything else
+        passes through untouched."""
         spec = request.options.oracle_spec
         if (
             self.cnf_cache_base is not None
             and spec.oracle == "relational"
-            and spec.incremental
             and spec.cnf_cache_dir is None
         ):
             return with_cnf_cache_dir(

@@ -7,8 +7,8 @@ of three payload schemas:
 
 ``synthesis-request`` (v1)
     a :class:`SynthesisRequest`: a model *name* plus the wire-safe
-    subset of :class:`repro.core.synthesis.SynthesisOptions` (oracle,
-    prefilter, and cache knobs included).  Its :meth:`fingerprint
+    subset of :class:`repro.core.synthesis.SynthesisOptions` (the
+    :class:`~repro.core.synthesis.OracleSpec` included).  Its :meth:`fingerprint
     <SynthesisRequest.fingerprint>` is the content digest the job queue
     dedups on: two clients submitting equal requests coalesce onto one
     job.
@@ -29,7 +29,7 @@ of three payload schemas:
     to a local run's suites (same entries, same order, same JSON).
 
 Requests carrying process-local values (an explicit ``candidates``
-stream, a ``progress`` callback, a non-sentinel ``reject`` callable)
+stream, a ``progress_events`` callback, a non-sentinel ``reject`` callable)
 cannot cross the wire; :meth:`SynthesisRequest.to_payload` rejects them
 with :class:`ValueError` instead of silently dropping them.
 """
@@ -97,7 +97,7 @@ WIRE_SCHEMA_NAME = "service-request"
 WIRE_SCHEMA_VERSION = 1
 
 #: SynthesisOptions fields that never serialize (process-local values)
-_LOCAL_ONLY = ("candidates", "progress", "progress_events")
+_LOCAL_ONLY = ("candidates", "progress_events")
 
 
 class QuotaExceededError(RuntimeError):

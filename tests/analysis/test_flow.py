@@ -1,14 +1,11 @@
 """The static-analysis layer (:mod:`repro.analysis.flow`).
 
-Four angles, mirroring the package's contract:
+Three angles, mirroring the package's contract:
 
 * the interval abstract domain's transfer rules and Kleene formula
   evaluation on hand-built ASTs (emptiness/acyclicity propagation);
 * the closed-form applicability counts against the real relaxation
   generators (a property test over the enumerator and the catalog);
-* the execution prefilter's agreement with *both* oracles — exact on
-  pinned environments, byte-identical synthesized suites across the
-  model zoo at bounds 2-4;
 * the MDL01x/LIT01x passes, the ``empty:fr`` campaign skip, and the
   diagnostic-id registry bookkeeping.
 """
@@ -17,13 +14,11 @@ import itertools
 
 import pytest
 
-from repro.alloy import AlloyOracle
 from repro.alloy.encoding import LitmusEncoding
 from repro.alloy.models import ALLOY_MODELS
 from repro.analysis.diagnostics import Severity, parse_suppression
 from repro.analysis.flow import (
     AbstractEnv,
-    ExecutionPrefilter,
     Interval,
     Tri,
     UnboundRelation,
@@ -39,12 +34,9 @@ from repro.analysis.flow import (
 )
 from repro.analysis.litmus_lint import early_reject
 from repro.analysis.model_lint import alloy_context, lint_model_context
-from repro.analysis.probes import PROBE_BATTERY
 from repro.analysis.registry import LitmusLintContext, run_family
 from repro.analysis.selfcheck import id_registry_problems
 from repro.core.enumerator import EnumerationConfig, enumerate_tests
-from repro.core.oracle import ExplicitOracle
-from repro.core.synthesis import OracleSpec, SynthesisOptions, synthesize
 from repro.litmus.catalog import CATALOG
 from repro.litmus.events import read, write
 from repro.litmus.test import LitmusTest
@@ -270,94 +262,6 @@ class TestApplicationCounts:
             self.check(entry.test, get_model(entry.model).vocabulary)
 
 
-# -- the execution prefilter vs both oracles --------------------------------------
-
-
-ZOO = tuple(sorted(ALLOY_MODELS))
-
-
-class TestPrefilterExactness:
-    @pytest.mark.parametrize("model_name", ZOO)
-    def test_every_pinned_verdict_matches_the_sat_oracle(self, model_name):
-        """On pinned executions the environment is exact, so the filter
-        must decide *every* per-axiom query, agreeing with the SAT path."""
-        factory, needs_sc = ALLOY_MODELS[model_name]
-        formulas = factory()
-        sat = AlloyOracle(model_name)  # prefilter off: pure SAT ground truth
-        for test in PROBE_BATTERY[:3]:
-            prefilter = ExecutionPrefilter(
-                LitmusEncoding(test, with_sc=needs_sc)
-            )
-            executions = list(sat.executions(test))
-            assert executions
-            model_valid = set(sat.valid_executions(test, None))
-            for axiom, formula in formulas.items():
-                axiom_valid = set(sat.valid_executions(test, axiom))
-                for ex in executions:
-                    verdict = prefilter.axiom_verdict(ex, formula)
-                    assert verdict is not None, (model_name, axiom)
-                    assert verdict == (ex in axiom_valid), (model_name, axiom)
-            for ex in executions:
-                verdict = prefilter.model_verdict(ex, formulas.values())
-                assert verdict == (ex in model_valid), model_name
-
-    @pytest.mark.parametrize("model_name", ZOO)
-    def test_analyze_agrees_with_the_explicit_oracle(self, model_name):
-        explicit = ExplicitOracle(get_model(model_name))
-        filtered = AlloyOracle(model_name, prefilter=True)
-        for test in PROBE_BATTERY[:3]:
-            assert (
-                filtered.analyze(test).model_valid
-                == explicit.analyze(test).model_valid
-            ), (model_name, test.name)
-        metrics = filtered.as_metrics()
-        assert metrics["prefilter_queries"] > 0
-        assert metrics["prefilter_hits"] > 0
-        assert metrics["prefilter_fallbacks"] == 0
-
-
-def _synth(model_name, bound, config, oracle, prefilter=False):
-    return synthesize(
-        get_model(model_name),
-        SynthesisOptions(
-            bound=bound,
-            config=config,
-            oracle_spec=OracleSpec(oracle=oracle, prefilter=prefilter),
-        ),
-    )
-
-
-class TestPrefilterSuiteGrid:
-    """Synthesized suites must be byte-identical with and without the
-    prefilter — and equal to the explicit oracle's — across the zoo."""
-
-    @pytest.mark.parametrize("model_name", ZOO)
-    @pytest.mark.parametrize("bound", (2, 3))
-    def test_grid_agrees_with_both_oracles(self, model_name, bound):
-        config = EnumerationConfig(
-            max_events=bound, max_addresses=2, max_deps=0, max_rmws=0
-        )
-        filtered = _synth(model_name, bound, config, "relational", prefilter=True)
-        plain = _synth(model_name, bound, config, "relational")
-        explicit = _synth(model_name, bound, config, "explicit")
-        assert filtered.union.to_json() == plain.union.to_json()
-        assert filtered.union.to_json() == explicit.union.to_json()
-        for axiom, suite in filtered.per_axiom.items():
-            assert suite.to_json() == plain.per_axiom[axiom].to_json(), axiom
-        assert filtered.oracle_stats["prefilter_queries"] > 0
-        assert filtered.oracle_stats["prefilter_hits"] > 0
-
-    def test_tso_bound_four_byte_identical(self):
-        config = EnumerationConfig(
-            max_events=4, max_addresses=2, max_deps=0, max_rmws=0
-        )
-        filtered = _synth("tso", 4, config, "relational", prefilter=True)
-        plain = _synth("tso", 4, config, "relational")
-        assert filtered.union.to_json() == plain.union.to_json()
-        stats = filtered.oracle_stats
-        assert stats["prefilter_hits"] == stats["prefilter_queries"] > 0
-
-
 # -- the MDL01x passes ------------------------------------------------------------
 
 
@@ -475,7 +379,6 @@ class TestEmptyFrSkip:
                 seed=0,
                 budget=30,
                 mutants=("empty:fr",),
-                oracle_spec=OracleSpec(prefilter=True),
             )
         )
         assert report.mutant_skips > 0

@@ -1,5 +1,7 @@
 """OBS001/OBS002: unclosed spans and mixed-schema trace directories."""
 
+import pytest
+
 from repro.analysis import lint_trace_dir, lint_trace_events, lint_trace_file
 from repro.analysis.selfcheck import lint_obs_smoke
 from repro.obs import Tracer, format_event, header_event
@@ -97,10 +99,16 @@ class TestTraceDirSchemas:
         diags = lint_trace_dir(str(tmp_path))
         assert [d.id for d in diags] == ["OBS001"]
 
-    def test_real_synthesis_trace_is_clean(self, tmp_path):
+    @pytest.mark.parametrize("oracle", ["explicit", "relational"])
+    def test_real_synthesis_trace_is_clean(self, tmp_path, oracle):
         from repro.core.enumerator import EnumerationConfig
-        from repro.core.synthesis import SynthesisOptions, synthesize
+        from repro.core.synthesis import (
+            OracleSpec,
+            SynthesisOptions,
+            synthesize,
+        )
         from repro.models.registry import get_model
+        from repro.obs import summarize_trace_dir
 
         trace_dir = str(tmp_path / "t")
         synthesize(
@@ -110,10 +118,16 @@ class TestTraceDirSchemas:
                 config=EnumerationConfig(
                     max_events=3, max_addresses=1, max_deps=0, max_rmws=0
                 ),
+                oracle_spec=OracleSpec(oracle=oracle),
                 trace_dir=trace_dir,
             ),
         )
         assert lint_trace_dir(trace_dir) == []
+        report = summarize_trace_dir(trace_dir)
+        assert report["phases"] and report["spans"]
+        walls = [phase["wall"] for phase in report["phases"]]
+        walls += [slot["wall"] for slot in report["spans"].values()]
+        assert all(isinstance(wall, (int, float)) for wall in walls)
 
 
 class TestRegistrySelfCheck:

@@ -98,26 +98,15 @@ class TestOracleOptionsLint:
             == []
         )
 
-    def test_cold_solver_drops_cache_dir_sat007(self):
-        from repro.analysis import lint_oracle_options
-
-        report = lint_oracle_options(
-            self._opts(
-                oracle="relational",
-                incremental=False,
-                cnf_cache_dir="/tmp/c",
-            )
-        )
-        assert ids(report) == ["SAT007"]
-        assert "cnf_cache_dir" in report[0].subject
-
     def test_explicit_oracle_ignores_knobs_sat007(self):
         from repro.analysis import lint_oracle_options
 
-        report = lint_oracle_options(
-            self._opts(incremental=False, cnf_cache_dir="/tmp/c")
-        )
-        assert ids(report) == ["SAT007", "SAT007"]
+        report = lint_oracle_options(self._opts(cnf_cache_dir="/tmp/c"))
+        assert ids(report) == ["SAT007"]
+        assert report[0].subject == "options:cnf_cache_dir"
+        # a bare OracleSpec lints the same as the options carrying it
+        spec = self._opts(cnf_cache_dir="/tmp/c").oracle_spec
+        assert ids(lint_oracle_options(spec)) == ["SAT007"]
 
 
 class TestCnfCacheDirLint:

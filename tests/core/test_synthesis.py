@@ -123,18 +123,24 @@ class TestSynthesisOptions:
         assert list(res.per_axiom) == ["sc_per_loc"]
 
     def test_progress_callback(self):
-        calls = []
-        synthesize(
+        events = []
+        result = synthesize(
             get_model("tso"),
             SynthesisOptions(
                 bound=4,
                 config=EnumerationConfig(max_events=4, max_addresses=2),
-                progress=calls.append,
+                progress_events=events.append,
             ),
         )
-        # at least one progress tick for >1000 candidates... the bound-4
-        # space may be smaller; just assert no crash and monotonicity
-        assert calls == sorted(calls)
+        # an unsharded run ticks every 1000 candidates, then finishes
+        ticks = [e["candidates"] for e in events if e["phase"] == "enumerate"]
+        assert ticks == list(range(1000, result.candidates + 1, 1000))
+        assert events[-1] == {
+            "phase": "finish",
+            "candidates": result.candidates,
+            "unique": result.unique_candidates,
+            "minimal": result.minimal_tests,
+        }
 
     def test_sc_model_synthesis(self):
         res = synthesize(

@@ -78,10 +78,12 @@ class TestShardedRuntime:
         assert_same_result(seq, par)
 
     def test_progress_reports_cumulative_candidates(self, sequential):
-        seen = []
+        events = []
         result = synthesize(
-            get_model("tso"), _options(shards=4, progress=seen.append)
+            get_model("tso"), _options(shards=4, progress_events=events.append)
         )
+        assert [e["phase"] for e in events] == ["shard"] * 4
+        seen = [e["total_candidates"] for e in events]
         assert seen == sorted(seen)
         assert seen[-1] == result.candidates == sequential.candidates
 

@@ -1,9 +1,8 @@
-"""Cross-model synthesis grid: explicit vs relational vs prefilter.
+"""Cross-model synthesis grid: explicit vs relational.
 
-For the newly formalized models, every oracle configuration must
-synthesize the *same* suites — the relational formulas are twins of the
-executable axioms, and the polynomial prefilter is a pure optimization
-over the SAT path.  The grid runs armv8/rvwmo at bounds 2-3 (with the
+For the newly formalized models, both oracles must synthesize the
+*same* suites — the relational formulas are twins of the executable
+axioms.  The grid runs armv8/rvwmo at bounds 2-3 (with the
 dep bound tightened to keep the candidate space test-sized) plus the
 vmem variants at bound 2, and compares suite membership per axiom.
 """
@@ -34,7 +33,7 @@ def _suites(result):
 
 
 @functools.lru_cache(maxsize=None)
-def _grid_point(model_name, bound, oracle, prefilter):
+def _grid_point(model_name, bound, oracle):
     model = get_model(model_name)
     config = EnumerationConfig(
         max_events=bound,
@@ -46,7 +45,7 @@ def _grid_point(model_name, bound, oracle, prefilter):
         SynthesisOptions(
             bound=bound,
             config=config,
-            oracle_spec=OracleSpec(oracle=oracle, prefilter=prefilter),
+            oracle_spec=OracleSpec(oracle=oracle),
         ),
     )
     return result, _suites(result)
@@ -55,21 +54,15 @@ def _grid_point(model_name, bound, oracle, prefilter):
 class TestOracleAgreement:
     @pytest.mark.parametrize("model_name,bound", GRID)
     def test_relational_matches_explicit(self, model_name, bound):
-        _, explicit = _grid_point(model_name, bound, "explicit", False)
-        _, relational = _grid_point(model_name, bound, "relational", False)
+        _, explicit = _grid_point(model_name, bound, "explicit")
+        _, relational = _grid_point(model_name, bound, "relational")
         assert relational == explicit
-
-    @pytest.mark.parametrize("model_name,bound", GRID)
-    def test_prefilter_matches_sat(self, model_name, bound):
-        _, relational = _grid_point(model_name, bound, "relational", False)
-        _, prefiltered = _grid_point(model_name, bound, "relational", True)
-        assert prefiltered == relational
 
     @pytest.mark.parametrize(
         "model_name,bound", [("armv8", 3), ("rvwmo", 3)]
     )
     def test_bound3_suites_nonempty(self, model_name, bound):
-        result, suites = _grid_point(model_name, bound, "explicit", False)
+        result, suites = _grid_point(model_name, bound, "explicit")
         assert suites["union"], "bound-3 union suite must be non-empty"
         assert result.candidates > 0
 

@@ -17,7 +17,7 @@ def tiny_request(bound: int = 2, **knobs) -> SynthesisRequest:
     knobs.setdefault("config", EnumerationConfig(max_events=bound))
     spec_knobs = {
         key: knobs.pop(key)
-        for key in ("oracle", "incremental", "cnf_cache_dir", "prefilter")
+        for key in ("oracle", "cnf_cache_dir")
         if key in knobs
     }
     if spec_knobs:

@@ -34,7 +34,7 @@ class TestSynthesisRequest:
             axioms=["sc_per_loc"],
             mode=CriterionMode.EXACT,
             config=EnumerationConfig(max_events=3, max_addresses=1),
-            oracle_spec=OracleSpec(oracle="relational", prefilter=True),
+            oracle_spec=OracleSpec(oracle="relational", cnf_cache_dir="cnf"),
             reject=EARLY_REJECT,
         )
         back = SynthesisRequest.from_payload(req.to_payload())
@@ -75,7 +75,7 @@ class TestSynthesisRequest:
 
     def test_local_only_progress_rejected(self):
         req = SynthesisRequest(
-            "tso", SynthesisOptions(bound=3, progress=lambda n: None)
+            "tso", SynthesisOptions(bound=3, progress_events=lambda e: None)
         )
         with pytest.raises(ValueError, match="process-local"):
             req.to_payload()
@@ -114,6 +114,21 @@ class TestSynthesisRequest:
         del payload["options"]["oracle_spec"]
         payload["options"][field] = value
         with pytest.raises(ValueError, match="oracle_spec") as info:
+            SynthesisRequest.from_payload(payload)
+        assert field in str(info.value)
+
+    @pytest.mark.parametrize(
+        "field, value", [("incremental", False), ("prefilter", True)]
+    )
+    def test_removed_oracle_spec_fields_rejected(self, field, value):
+        # The cold-solver and prefilter knobs left OracleSpec in 1.5; a
+        # request still carrying them is refused, naming the field,
+        # rather than run with the knob silently dropped.
+        payload = _request(
+            oracle_spec=OracleSpec(oracle="relational")
+        ).to_payload()
+        payload["options"]["oracle_spec"][field] = value
+        with pytest.raises(ValueError, match="unknown oracle spec") as info:
             SynthesisRequest.from_payload(payload)
         assert field in str(info.value)
 

@@ -1,5 +1,6 @@
 """Public API surface tests."""
 
+import dataclasses
 import os
 import re
 
@@ -58,19 +59,28 @@ class TestPublicAPI:
 
     def test_loose_oracle_fields_were_removed(self):
         # The loose oracle shims finished their window in 1.3: the
-        # constructor keywords and the read aliases are both gone.
-        for name, value in (
-            ("oracle", "relational"),
-            ("incremental", False),
-            ("cnf_cache_dir", "cnf"),
-            ("prefilter", True),
+        # constructor keywords and the read aliases are both gone.  1.5
+        # removed the cold-solver and prefilter knobs from OracleSpec,
+        # SynthesisOptions.progress and CampaignOptions.oracle_spec.
+        synthesis = (repro.SynthesisOptions, {"bound": 3})
+        spec = (repro.OracleSpec, {})
+        campaign = (repro.CampaignOptions, {"model": "tso"})
+        for (cls, base), name, value in (
+            (synthesis, "oracle", "relational"),
+            (synthesis, "incremental", False),
+            (synthesis, "cnf_cache_dir", "cnf"),
+            (synthesis, "prefilter", True),
+            (synthesis, "progress", print),
+            (spec, "incremental", False),
+            (spec, "prefilter", True),
+            (campaign, "prefilter", True),
+            (campaign, "oracle_spec", repro.OracleSpec()),
         ):
             with pytest.raises(TypeError, match=name):
-                repro.SynthesisOptions(bound=3, **{name: value})
-            assert not hasattr(repro.SynthesisOptions(bound=3), name)
-        with pytest.raises(TypeError, match="prefilter"):
-            repro.CampaignOptions(model="tso", prefilter=True)
-        assert not hasattr(repro.CampaignOptions(model="tso"), "prefilter")
+                cls(**base, **{name: value})
+            assert not hasattr(cls(**base), name)
+        fields = [f.name for f in dataclasses.fields(repro.OracleSpec)]
+        assert fields == ["oracle", "cnf_cache_dir"]
         options = repro.SynthesisOptions(
             bound=3, oracle_spec=repro.OracleSpec(oracle="relational")
         )

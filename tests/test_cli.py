@@ -99,6 +99,34 @@ class TestCLI:
             main(["synthesize", "--model", "bogus"])
 
 
+class TestCLIOracleCombinations:
+    """A model/mode/oracle combination the relational oracle cannot serve
+    is refused in the parent before any shard runs: one ``error:`` line,
+    exit status 2, whatever ``--jobs`` says."""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize(
+        "flags, reason",
+        [
+            (["--model", "power"], "no Alloy encoding for 'power'"),
+            (["--model", "tso", "--mode", "execution-wa"], "explicit oracle"),
+        ],
+        ids=["power", "execution-wa"],
+    )
+    def test_invalid_combination_exits_2(self, capsys, flags, reason, jobs):
+        argv = ["synthesize", *flags, "--bound", "2", "--oracle", "relational"]
+        code = main([*argv, "--jobs", jobs])
+        captured = capsys.readouterr()
+        assert code == 2
+        errors = [
+            line
+            for line in captured.err.splitlines()
+            if line.startswith("error: ")
+        ]
+        assert len(errors) == 1 and reason in errors[0]
+        assert "RemoteJobError" not in captured.out + captured.err
+
+
 class TestCLIFileErrors:
     """check/show/compare fail cleanly and uniformly: one
     ``error: <path>: <reason>`` line on stderr, exit status 2."""
