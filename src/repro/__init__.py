@@ -41,7 +41,6 @@ Package layout:
 """
 
 from repro.core import (
-    EARLY_REJECT,
     CriterionMode,
     EnumerationConfig,
     ExplicitOracle,
@@ -100,13 +99,12 @@ from repro.service import (
     SynthesisRequest,
 )
 
-__version__ = "1.5.0"
+__version__ = "1.6.0"
 
 __all__ = [
     "__version__",
     # core
     "CriterionMode",
-    "EARLY_REJECT",
     "EnumerationConfig",
     "ExplicitOracle",
     "MinimalityChecker",

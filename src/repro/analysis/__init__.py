@@ -14,9 +14,8 @@ Three pass families over the synthesis stack's inputs:
 The dataflow layer (:mod:`repro.analysis.flow`) contributes semantic
 passes to the model and litmus families (``MDL01x``/``LIT01x``).
 
-Importing this package registers every pass.  Entry points:
-``lint_registry`` (the registry-wide self-check behind ``repro lint``)
-and ``early_reject`` (the enumerator filter hook).
+Importing this package registers every pass.  Entry point:
+``lint_registry`` (the registry-wide self-check behind ``repro lint``).
 """
 
 from repro.analysis import (  # noqa: F401  (imports register the passes)
@@ -36,13 +35,13 @@ from repro.analysis.diagnostics import (
     render_json,
     render_text,
 )
-from repro.analysis.flow import application_counts, fr_statically_empty
+from repro.analysis.flow import fr_statically_empty
 from repro.analysis.difftest_lint import (
     lint_corpus,
     lint_mutant_registry,
     lint_mutant_tags,
 )
-from repro.analysis.litmus_lint import early_reject, find_duplicate_tests
+from repro.analysis.litmus_lint import find_duplicate_tests
 from repro.analysis.obs_lint import (
     lint_trace_dir,
     lint_trace_events,
@@ -80,7 +79,6 @@ __all__ = [
     "parse_suppression",
     "render_text",
     "render_json",
-    "application_counts",
     "fr_statically_empty",
     "ModelLintContext",
     "LitmusLintContext",
@@ -90,7 +88,6 @@ __all__ = [
     "passes_for",
     "all_passes",
     "run_family",
-    "early_reject",
     "find_duplicate_tests",
     "lint_oracle_options",
     "lint_cnf_cache_dir",

@@ -9,9 +9,7 @@ with Kleene three-valued formula evaluation
   bounds, emitting ``MDL010``/``MDL011``/``MDL012`` for statically
   vacuous, unsatisfiable-by-construction, and dead definitions;
 * **litmus passes** (:mod:`repro.analysis.flow.applicability`) —
-  closed-form relaxation-application counts proving perturbations
-  inapplicable without a solver round-trip (``LIT010``, feeding the
-  enumerator's ``early_reject`` hook) and statically-singleton
+  tests no relaxation applies to (``LIT010``) and statically-singleton
   execution spaces (``LIT011``), plus the ``fr`` emptiness proof the
   difftest ``empty:fr`` mutation consults.
 
@@ -35,7 +33,6 @@ from repro.analysis.flow.absint import (
     render_formula,
 )
 from repro.analysis.flow.applicability import (
-    application_counts,
     dynamic_intervals,
     fr_statically_empty,
 )
@@ -51,7 +48,6 @@ __all__ = [
     "eval_formula",
     "render_expr",
     "render_formula",
-    "application_counts",
     "fr_statically_empty",
     "dynamic_intervals",
 ]

@@ -1,12 +1,9 @@
 """Static perturbation-applicability analysis: LIT010/LIT011.
 
 The minimality criterion (paper Definition 1) quantifies over every
-application of every relaxation the model's vocabulary admits.  The
-number of applications is a closed-form function of the test's
-instruction mix — no generator walk, no solver round-trip — which is
-what :func:`application_counts` computes, mirroring the per-relaxation
-``applications()`` logic in :mod:`repro.relax.instruction` exactly (a
-property test asserts the equality).
+application of every relaxation the model's vocabulary admits.  LIT010
+asks the relaxations' own ``applications()`` generators
+(:mod:`repro.relax.instruction`) whether any application exists.
 
 Diagnostic ids:
 
@@ -17,13 +14,12 @@ LIT010   warning   no relaxation application exists (statically degenerate)
 LIT011   info      rf/co(/sc) bounds statically empty (single execution)
 =======  ========  ==========================================================
 
-LIT010 is a warning, so it feeds the enumerator's existing
-``early_reject`` hook (:func:`repro.analysis.early_reject` rejects at
-warning severity) — such candidates are dropped before any oracle
-query.  LIT011 stays informational: a test whose dynamic relations are
-all statically empty admits exactly one well-formed execution and can
-never exhibit a forbidden outcome, but rejecting it is the enumerator's
-communication filter's job.
+LIT010 is a warning about hand-written tests: every enumerated
+candidate has at least two events, so RI always applies to it.  LIT011
+stays informational: a test whose dynamic relations are all statically
+empty admits exactly one well-formed execution and can never exhibit a
+forbidden outcome, and keeping such tests out of the candidate stream
+is the enumerator's communication prune's job.
 
 Also here: :func:`dynamic_intervals`, the static bounds behind LIT011,
 and :func:`fr_statically_empty`, the emptiness analysis the difftest
@@ -39,65 +35,15 @@ from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.analysis.flow.absint import Interval, env_from_problem, eval_expr
 from repro.analysis.registry import LitmusLintContext, register_pass
 from repro.litmus.test import LitmusTest
-from repro.models.base import Vocabulary
 from repro.relational import ast
 from repro.relax.instruction import relaxations_for
 
 __all__ = [
-    "application_counts",
     "check_static_applicability",
     "check_singleton_executions",
     "dynamic_intervals",
     "fr_statically_empty",
 ]
-
-
-def application_counts(
-    test: LitmusTest, vocab: Vocabulary
-) -> dict[str, int]:
-    """``len(list(r.applications(test, vocab)))`` per applicable
-    relaxation, computed in closed form."""
-    return {
-        relaxation.name: _count(relaxation.name, test, vocab)
-        for relaxation in relaxations_for(vocab)
-    }
-
-
-def _count(name: str, test: LitmusTest, vocab: Vocabulary) -> int:
-    if name == "RI":
-        return test.num_events if test.num_events > 1 else 0
-    if name == "DRMW":
-        return len(test.rmw)
-    if name == "DF":
-        return sum(
-            len(vocab.fence_demotions.get(inst.fence, ()))
-            for inst in test.instructions
-            if inst.is_fence
-        )
-    if name == "DMO":
-        return sum(
-            len(vocab.order_demotions.get(inst.order, ()))
-            for inst in test.instructions
-            if not inst.is_fence
-        )
-    if name == "RD":
-        return len(
-            {d.src for d in test.deps} | {r for r, _ in test.rmw}
-        )
-    if name == "DS":
-        levels = sorted(vocab.scopes)
-        return sum(
-            1
-            for inst in test.instructions
-            if inst.scope is not None
-            and inst.scope in vocab.scopes
-            and levels.index(inst.scope) > 0
-        )
-    if name == "DV":
-        return sum(1 for inst in test.instructions if inst.is_vmem)
-    if name == "UA":
-        return len(test.addr_map or ())
-    raise ValueError(f"unknown relaxation {name!r}")
 
 
 @register_pass(
@@ -114,10 +60,11 @@ def check_static_applicability(
     carry no evidence about any axiom and never belong in a suite."""
     if ctx.model is None:
         return
-    counts = application_counts(ctx.test, ctx.model.vocabulary)
-    if any(counts.values()):
+    vocab = ctx.model.vocabulary
+    relaxations = relaxations_for(vocab)
+    if any(True for r in relaxations for _ in r.applications(ctx.test, vocab)):
         return
-    columns = ", ".join(sorted(counts)) or "none"
+    columns = ", ".join(sorted(r.name for r in relaxations)) or "none"
     yield Diagnostic(
         "LIT010",
         Severity.WARNING,
@@ -126,8 +73,7 @@ def check_static_applicability(
         f"vocabulary (columns checked: {columns}); the minimality "
         "criterion is vacuous for this test",
         hint="a minimal test must admit at least one weakening (paper "
-        "Definition 1); the early-reject hook drops such candidates "
-        "before any solver query",
+        "Definition 1)",
     )
 
 

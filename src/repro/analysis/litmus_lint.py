@@ -36,7 +36,7 @@ from repro.core.canonical import canonical_form
 from repro.litmus.events import Order
 from repro.litmus.test import LitmusTest
 
-__all__ = ["lint_litmus_context", "find_duplicate_tests", "early_reject"]
+__all__ = ["lint_litmus_context", "find_duplicate_tests"]
 
 
 @register_pass(
@@ -248,23 +248,3 @@ def find_duplicate_tests(
 def lint_litmus_context(ctx: LitmusLintContext) -> Iterable[Diagnostic]:
     """Run every registered litmus pass over one context."""
     return run_family("litmus", ctx)
-
-
-def early_reject(model=None, min_severity: Severity = Severity.WARNING):
-    """Build an enumerator ``reject`` hook from the litmus passes.
-
-    The returned predicate answers "does this candidate carry any litmus
-    finding at ``min_severity`` or worse?" — candidates it rejects are
-    dropped before the oracle sees them (paper §5's perf concern: the
-    oracle dominates synthesis time, so filtering ill-formed tests early
-    is pure win).  Pass a model to also reject dead-synchronization
-    candidates; without one only model-independent passes fire.
-    """
-
-    def reject(test: LitmusTest) -> bool:
-        ctx = LitmusLintContext(test.name or "candidate", test, model=model)
-        return any(
-            d.severity >= min_severity for d in run_family("litmus", ctx)
-        )
-
-    return reject

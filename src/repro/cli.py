@@ -50,7 +50,6 @@ from repro.core.compare import compare_suites
 from repro.core.enumerator import EnumerationConfig
 from repro.core.minimality import CriterionMode, MinimalityChecker
 from repro.core.synthesis import (
-    EARLY_REJECT,
     ORACLES,
     OracleSpec,
     SynthesisOptions,
@@ -215,17 +214,19 @@ def _synthesis_options(args) -> SynthesisOptions:
         max_rmws=args.max_rmws,
         max_aliases=max_aliases,
     )
-    return SynthesisOptions(
-        bound=args.bound,
-        axioms=[args.axiom] if args.axiom else None,
-        mode=CriterionMode(args.mode),
-        config=config,
-        reject=EARLY_REJECT if args.early_reject else None,
-        jobs=args.jobs,
-        checkpoint_dir=getattr(args, "checkpoint_dir", None),
-        oracle_spec=oracle_spec_from_args(args),
-        trace_dir=getattr(args, "trace_dir", None),
-    )
+    try:
+        return SynthesisOptions(
+            bound=args.bound,
+            axioms=[args.axiom] if args.axiom else None,
+            mode=CriterionMode(args.mode),
+            config=config,
+            jobs=args.jobs,
+            checkpoint_dir=getattr(args, "checkpoint_dir", None),
+            oracle_spec=oracle_spec_from_args(args),
+            trace_dir=getattr(args, "trace_dir", None),
+        )
+    except ValueError as exc:
+        raise _CliError(str(exc)) from exc
 
 
 def _warn_diagnostics(findings) -> None:
@@ -444,9 +445,11 @@ def _cmd_compare(args) -> int:
         config = EnumerationConfig(
             max_events=args.bound, max_addresses=args.max_addresses
         )
-        result = synthesize(
-            model, SynthesisOptions(bound=args.bound, config=config)
-        )
+        try:
+            options = SynthesisOptions(bound=args.bound, config=config)
+        except ValueError as exc:
+            raise _CliError(str(exc)) from exc
+        result = synthesize(model, options)
         synthesized = result.union
     comparison = compare_suites(reference, synthesized, model)
     if args.json:
@@ -551,13 +554,16 @@ def _cmd_serve(args) -> int:
         cnf_cache_dir = os.path.join(tempfile.gettempdir(), "repro-serve-cnf")
     if cnf_cache_dir is not None:
         _warn_diagnostics(analysis.lint_cnf_cache_dir(cnf_cache_dir))
-    manager = JobManager(
-        workers=args.pool_workers,
-        recycle_after=args.recycle_after,
-        cnf_cache_dir=cnf_cache_dir,
-        trace_dir=args.trace_dir,
-        max_queued_per_client=args.max_queued_per_client,
-    )
+    try:
+        manager = JobManager(
+            workers=args.pool_workers,
+            recycle_after=args.recycle_after,
+            cnf_cache_dir=cnf_cache_dir,
+            trace_dir=args.trace_dir,
+            max_queued_per_client=args.max_queued_per_client,
+        )
+    except ValueError as exc:
+        raise _CliError(str(exc)) from exc
 
     def ready(address: str) -> None:
         print(
@@ -769,11 +775,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             help="virtual->physical alias merges per candidate (default: "
             "1 for models with transistency support, 0 otherwise)",
-        )
-        p.add_argument(
-            "--early-reject",
-            action="store_true",
-            help="drop candidates with lint findings before any oracle call",
         )
         p.add_argument(
             "--jobs",

@@ -35,7 +35,6 @@ from repro.core.suite import (
     test_to_dict,
 )
 from repro.core.synthesis import (
-    EARLY_REJECT,
     RESULT_SCHEMA_VERSION,
     OracleSpec,
     SynthesisOptions,
@@ -69,7 +68,6 @@ __all__ = [
     "test_from_dict",
     "outcome_to_dict",
     "outcome_from_dict",
-    "EARLY_REJECT",
     "RESULT_SCHEMA_VERSION",
     "OracleSpec",
     "SynthesisOptions",

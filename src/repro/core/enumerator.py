@@ -38,7 +38,7 @@ results back into the sequential order.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 
@@ -55,7 +55,6 @@ from repro.litmus.events import (
 )
 from repro.litmus.test import Dep, LitmusTest
 from repro.models.base import Vocabulary
-from repro.obs import current_registry
 
 __all__ = [
     "EnumerationConfig",
@@ -344,20 +343,15 @@ def _communicates(units: tuple[ThreadUnit, ...]) -> bool:
 def enumerate_tests(
     vocab: Vocabulary,
     config: EnumerationConfig,
-    reject: Callable[[LitmusTest], bool] | None = None,
     shard: tuple[int, int] | None = None,
 ) -> Iterator[LitmusTest]:
     """Stream every candidate test within the configured bounds.
-
-    ``reject`` is an opt-in early filter: candidates it returns True for
-    are dropped before they are yielded (and so before any oracle call).
-    :func:`repro.analysis.early_reject` builds one from the lint passes.
 
     ``shard=(i, n)`` restricts the stream to the ``i``-th of ``n``
     deterministic slices of the candidate space (see the module
     docstring); the ``n`` shards partition the unsharded stream exactly.
     """
-    for _, test in enumerate_shard(vocab, config, shard=shard, reject=reject):
+    for _, test in enumerate_shard(vocab, config, shard=shard):
         yield test
 
 
@@ -365,7 +359,6 @@ def enumerate_shard(
     vocab: Vocabulary,
     config: EnumerationConfig,
     shard: tuple[int, int] | None = None,
-    reject: Callable[[LitmusTest], bool] | None = None,
 ) -> Iterator[tuple[int, LitmusTest]]:
     """Like :func:`enumerate_tests`, but yields ``(item, test)`` pairs.
 
@@ -419,14 +412,7 @@ def enumerate_shard(
                     for candidate in _assembled_variants(
                         selection, vocab, config, communicates
                     ):
-                        if reject is None:
-                            yield item, candidate
-                            continue
-                        current_registry().count("reject_checks")
-                        if not reject(candidate):
-                            yield item, candidate
-                        else:
-                            current_registry().count("early_rejects")
+                        yield item, candidate
 
 
 def _assembled_variants(

@@ -70,12 +70,6 @@ ORACLES = ("explicit", "relational")
 RESULT_SCHEMA_NAME = "synthesis-result"
 RESULT_SCHEMA_VERSION = 3
 
-#: ``SynthesisOptions.reject`` sentinel: build the lint-based early-reject
-#: filter (:func:`repro.analysis.early_reject`) for the target model.
-#: Unlike an arbitrary callable, the sentinel crosses process boundaries,
-#: so it is the way to early-reject under ``jobs > 1``.
-EARLY_REJECT = "early-reject"
-
 
 @dataclass(frozen=True)
 class OracleSpec:
@@ -140,12 +134,6 @@ class SynthesisOptions:
             in a sharded one.  Process-local (never serializes); the
             service daemon wires it to the streamed ``job-progress``
             wire messages.
-        reject: opt-in early filter passed to the enumerator; candidates
-            it returns True for are skipped before any oracle call.  Pass
-            the :data:`EARLY_REJECT` sentinel to build the lint-based
-            filter per worker (plain callables only work with ``jobs=1``
-            unless they are picklable).  Ignored when an explicit
-            ``candidates`` stream is supplied.
         jobs: worker process count; ``jobs > 1`` fans the shards out
             over a process pool (:mod:`repro.exec`).
         checkpoint_dir: directory for shard-level checkpoints; a rerun
@@ -171,7 +159,6 @@ class SynthesisOptions:
     exact_symmetry: bool = True
     candidates: Iterable[LitmusTest] | None = None
     progress_events: Callable[[dict], None] | None = None
-    reject: Callable[[LitmusTest], bool] | str | None = None
     jobs: int = 1
     checkpoint_dir: str | None = None
     shards: int | None = None
@@ -185,11 +172,6 @@ class SynthesisOptions:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.shards is not None and self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if isinstance(self.reject, str) and self.reject != EARLY_REJECT:
-            raise ValueError(
-                f"unknown reject spec {self.reject!r} "
-                f"(the only named filter is {EARLY_REJECT!r})"
-            )
         if not isinstance(self.oracle_spec, OracleSpec):
             raise TypeError(
                 "oracle_spec must be an OracleSpec, got "
@@ -217,18 +199,18 @@ class SynthesisOptions:
         )
 
     def axiom_names(self, model: MemoryModel) -> tuple[str, ...]:
-        return (
-            tuple(self.axioms) if self.axioms is not None else model.axiom_names()
-        )
-
-    def resolved_reject(
-        self, model: MemoryModel
-    ) -> Callable[[LitmusTest], bool] | None:
-        if self.reject == EARLY_REJECT:
-            from repro import analysis
-
-            return analysis.early_reject(model)
-        return self.reject  # a callable or None
+        """The axioms to build suites for; :class:`ValueError` names
+        any the model does not define."""
+        known = model.axiom_names()
+        if self.axioms is None:
+            return known
+        unknown = [name for name in self.axioms if name not in known]
+        if unknown:
+            raise ValueError(
+                f"unknown axiom {unknown[0]!r} for {model.name!r} "
+                f"(axioms: {', '.join(known)})"
+            )
+        return tuple(self.axioms)
 
 
 @dataclass
@@ -521,7 +503,6 @@ def synthesize_shard(
             model.vocabulary,
             opts.resolved_config(model),
             shard=shard,
-            reject=opts.resolved_reject(model),
         )
     events = opts.progress_events
     axiom_seconds = {name: 0.0 for name in axiom_names}

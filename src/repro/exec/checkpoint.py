@@ -49,11 +49,6 @@ def run_fingerprint(
     only change scheduling (``jobs``) or reporting (``progress_events``) are
     deliberately left out so a resume may use a different worker count.
     """
-    reject = opts.reject
-    if callable(reject):
-        # Callables have no stable cross-run identity; record the best
-        # name available so at least blatant mismatches are caught.
-        reject = f"callable:{getattr(reject, '__qualname__', repr(reject))}"
     return {
         "meta_version": _META_VERSION,
         "model": model.name,
@@ -63,7 +58,10 @@ def run_fingerprint(
         "config": asdict(opts.resolved_config(model)),
         "exact_symmetry": opts.exact_symmetry,
         "shard_count": shard_count,
-        "reject": reject,
+        # the candidate filter hook is gone; every checkpoint written
+        # without it recorded null here, and keeping the key lets those
+        # resume (one written with the hook is refused as a mismatch)
+        "reject": None,
         # the oracle backend determines the shard stats payload (and is
         # the knob equivalence claims are made against), so a resume must
         # not switch it mid-run; ``cnf_cache_dir`` is a pure wall-clock

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import os
-import pickle
 import time
 from dataclasses import replace
 
@@ -101,9 +100,10 @@ def run_sharded(
     """Run one synthesis: plan, replay, fan out, merge.
 
     ``checker`` is a resident checker for in-process (``jobs=1``) runs;
-    child processes always build their own.  An oracle the model or
-    criterion cannot use raises :class:`ValueError` here, in the
-    caller's process, before any shard runs.
+    child processes always build their own.  An axiom the model does
+    not define, or an oracle the model or criterion cannot use, raises
+    :class:`ValueError` here, in the caller's process, before any shard
+    runs.
     """
     sharded = (
         opts.jobs > 1 or opts.shards is not None or opts.checkpoint_dir is not None
@@ -113,6 +113,7 @@ def run_sharded(
             "an explicit candidates stream cannot be sharded; "
             "run it with jobs=1 and no checkpoint_dir"
         )
+    opts.axiom_names(model)  # an unknown axiom fails here, not in a child
     if checker is None:
         check_oracle_spec(model, opts.mode, opts.oracle_spec)
     start = time.perf_counter()
@@ -131,8 +132,6 @@ def run_sharded(
                 # checkpoint's.
                 shards = saved_shard_count(opts.checkpoint_dir)
             shard_count = plan_shards(opts.jobs, shards)
-            if opts.jobs > 1:
-                _check_picklable(opts.reject)
 
         with tracer.span("replay"):
             store: CheckpointStore | None = None
@@ -199,15 +198,3 @@ def run_sharded(
             }
         )
     return result
-
-
-def _check_picklable(reject: object) -> None:
-    if callable(reject):
-        try:
-            pickle.dumps(reject)
-        except Exception as exc:
-            raise ValueError(
-                "a custom reject callable must be picklable to cross "
-                "worker process boundaries; pass repro.core.synthesis."
-                "EARLY_REJECT (or a module-level function) instead"
-            ) from exc

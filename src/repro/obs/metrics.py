@@ -7,11 +7,12 @@ summable numbers.  Raw means *no derived values*: hit-rates and other
 ratios are computed on demand by :func:`derive_rates`, so that merging
 stats from many shards is plain key-wise addition.
 
-The :class:`MetricsRegistry` is a process-local sink those adapters
-publish into.  It is deliberately tiny — counters, gauges and fixed
-structure histograms — and carries no locks: one registry belongs to
-one process (workers each build their own; merged views are produced
-by summing ``as_metrics()`` snapshots).
+The :class:`MetricsRegistry` is a process-local bag of counters: code
+deep in the stack (the relational compiler) counts into the active one,
+:func:`current_registry`, and each shard installs a fresh one with
+:func:`use_registry` and reads it back through ``as_metrics()``.  It
+carries no locks: one registry belongs to one process, and merged views
+are produced by summing ``as_metrics()`` snapshots.
 """
 
 from __future__ import annotations
@@ -46,67 +47,23 @@ class Stats(Protocol):
 
 
 class MetricsRegistry:
-    """A process-local bag of counters, gauges and histograms."""
+    """A process-local bag of counters."""
 
     def __init__(self) -> None:
         self._counters: dict[str, float] = {}
-        self._gauges: dict[str, float] = {}
-        self._histograms: dict[str, list[float]] = {}
 
-    # -- counters ----------------------------------------------------
     def count(self, name: str, amount: int | float = 1) -> None:
         """Add ``amount`` to the counter ``name`` (creating it at 0)."""
         self._counters[name] = self._counters.get(name, 0) + amount
 
-    # -- gauges ------------------------------------------------------
-    def gauge(self, name: str, value: int | float) -> None:
-        """Set the gauge ``name`` to its latest observed ``value``."""
-        self._gauges[name] = value
-
-    # -- histograms --------------------------------------------------
-    def observe(self, name: str, value: int | float) -> None:
-        """Record one sample into the histogram ``name``."""
-        self._histograms.setdefault(name, []).append(value)
-
-    def publish(self, stats: Stats, prefix: str = "") -> None:
-        """Fold a :class:`Stats` snapshot into the counter space."""
-        for key, value in stats.as_metrics().items():
-            self.count(prefix + key, value)
-
-    # -- snapshots ---------------------------------------------------
-    def counters(self) -> dict[str, float]:
-        return dict(self._counters)
-
-    def gauges(self) -> dict[str, float]:
-        return dict(self._gauges)
-
-    def histogram_summary(self) -> dict[str, dict[str, float]]:
-        """Summarise each histogram as count/sum/min/max."""
-        out: dict[str, dict[str, float]] = {}
-        for name, samples in sorted(self._histograms.items()):
-            out[name] = {
-                "count": len(samples),
-                "sum": sum(samples),
-                "min": min(samples),
-                "max": max(samples),
-            }
-        return out
-
     def as_metrics(self) -> dict[str, int | float]:
-        """The registry is itself a :class:`Stats`: raw counters only."""
+        """The registry is itself a :class:`Stats`: raw counters, with
+        int-valued floats normalized to int."""
         normalized: dict[str, int | float] = {}
         for key, value in self._counters.items():
             as_int = int(value)
             normalized[key] = as_int if as_int == value else value
         return normalized
-
-    def snapshot(self) -> dict[str, object]:
-        """A full, JSON-ready view (counters + gauges + histograms)."""
-        return {
-            "counters": dict(sorted(self.as_metrics().items())),
-            "gauges": dict(sorted(self._gauges.items())),
-            "histograms": self.histogram_summary(),
-        }
 
 
 _REGISTRY_STACK: list[MetricsRegistry] = [MetricsRegistry()]
@@ -193,9 +150,5 @@ def derive_rates(metrics: dict[str, int | float]) -> dict[str, float]:
     if "sat_queries" in metrics:
         rates["sat_reuse_rate"] = _rate(
             metrics.get("sat_reuse_hits", 0), metrics["sat_queries"]
-        )
-    if "reject_checks" in metrics:
-        rates["early_reject_rate"] = _rate(
-            metrics.get("early_rejects", 0), metrics["reject_checks"]
         )
     return rates

@@ -194,7 +194,6 @@ class ModelFinder:
         registry = current_registry()
         registry.count("relational_compiles")
         registry.count("relational_compile_seconds", elapsed)
-        registry.observe("relational_compile_wall", elapsed)
         return root
 
     def _translator(self) -> Translator:

@@ -96,46 +96,20 @@ class Client:
         return sock
 
     def call(self, op: str, **fields: Any) -> Report:
-        """One request/response exchange; returns the raw envelope.
+        """One request/response exchange; returns the raw envelope —
+        the first one :meth:`stream` yields.
 
         Raises :class:`ServiceError` for transport failures and for
         ``service-error`` answers."""
-        request = envelope(
-            WIRE_SCHEMA_NAME, WIRE_SCHEMA_VERSION, {"op": op, **fields}
-        )
-        line = json.dumps(request.to_json_dict(), sort_keys=True) + "\n"
-        sock = self._connect()
+        replies = self.stream(op, **fields)
         try:
-            sock.sendall(line.encode("utf-8"))
-            chunks: list[bytes] = []
-            while True:
-                try:
-                    chunk = sock.recv(65536)
-                except TimeoutError as exc:
-                    raise ServiceError(
-                        f"timed out waiting for the service at {self.address}"
-                    ) from exc
-                if not chunk:
-                    break
-                chunks.append(chunk)
-                if chunk.endswith(b"\n"):
-                    break
+            report = next(replies, None)
         finally:
-            sock.close()
-        raw = b"".join(chunks)
-        if not raw.strip():
+            replies.close()  # closes the socket
+        if report is None:
             raise ServiceError(
                 f"the service at {self.address} closed the connection "
                 "without answering"
-            )
-        try:
-            report = load_report(json.loads(raw.decode("utf-8")))
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise ServiceError(f"unparseable service response: {exc}") from exc
-        if report.schema_name == SERVICE_ERROR_SCHEMA_NAME:
-            raise ServiceError(
-                str(report.payload.get("error", "unknown error")),
-                code=report.payload.get("code"),
             )
         return report
 
@@ -143,9 +117,9 @@ class Client:
         """One request, many response envelopes, on one connection.
 
         Yields each envelope as it arrives; the iterator ends after the
-        terminal ``job-result``.  ``service-error`` envelopes raise
-        :class:`ServiceError` (carrying the wire ``code``), exactly like
-        :meth:`call`.
+        terminal ``job-result`` or when the daemon hangs up.
+        ``service-error`` envelopes raise :class:`ServiceError`
+        (carrying the wire ``code``).
         """
         request = envelope(
             WIRE_SCHEMA_NAME, WIRE_SCHEMA_VERSION, {"op": op, **fields}
@@ -170,8 +144,8 @@ class Client:
                         chunk = sock.recv(65536)
                     except TimeoutError as exc:
                         raise ServiceError(
-                            "timed out waiting for the next streamed "
-                            f"envelope from {self.address}"
+                            "timed out waiting for the service at "
+                            f"{self.address}"
                         ) from exc
                     if not chunk:
                         closed = True
@@ -184,7 +158,7 @@ class Client:
                     report = load_report(json.loads(raw.decode("utf-8")))
                 except (UnicodeDecodeError, ValueError) as exc:
                     raise ServiceError(
-                        f"unparseable streamed response: {exc}"
+                        f"unparseable service response: {exc}"
                     ) from exc
                 if report.schema_name == SERVICE_ERROR_SCHEMA_NAME:
                     raise ServiceError(

@@ -29,9 +29,9 @@ of three payload schemas:
     to a local run's suites (same entries, same order, same JSON).
 
 Requests carrying process-local values (an explicit ``candidates``
-stream, a ``progress_events`` callback, a non-sentinel ``reject`` callable)
-cannot cross the wire; :meth:`SynthesisRequest.to_payload` rejects them
-with :class:`ValueError` instead of silently dropping them.
+stream, a ``progress_events`` callback) cannot cross the wire;
+:meth:`SynthesisRequest.to_payload` rejects them with
+:class:`ValueError` instead of silently dropping them.
 """
 
 from __future__ import annotations
@@ -45,12 +45,7 @@ from typing import Any, Mapping
 from repro.core.enumerator import EnumerationConfig
 from repro.core.minimality import CriterionMode
 from repro.core.suite import TestSuite, entry_from_dict, entry_to_dict
-from repro.core.synthesis import (
-    EARLY_REJECT,
-    OracleSpec,
-    SynthesisOptions,
-    SynthesisResult,
-)
+from repro.core.synthesis import OracleSpec, SynthesisOptions, SynthesisResult
 from repro.obs import Report
 
 __all__ = [
@@ -186,13 +181,6 @@ class SynthesisRequest:
                     f"SynthesisOptions.{name} is process-local and cannot "
                     "be sent to a synthesis service"
                 )
-        reject = opts.reject
-        if reject is not None and reject != EARLY_REJECT:
-            raise ValueError(
-                "only the EARLY_REJECT sentinel survives the wire; a "
-                "custom reject callable cannot be sent to a synthesis "
-                "service"
-            )
         return {
             "model": self.model,
             "options": {
@@ -201,7 +189,6 @@ class SynthesisRequest:
                 "mode": CriterionMode(opts.mode).value,
                 "config": asdict(opts.config) if opts.config is not None else None,
                 "exact_symmetry": opts.exact_symmetry,
-                "reject": reject,
                 "jobs": opts.jobs,
                 "checkpoint_dir": opts.checkpoint_dir,
                 "shards": opts.shards,
@@ -225,7 +212,6 @@ class SynthesisRequest:
             "bound",
             "axioms",
             "exact_symmetry",
-            "reject",
             "jobs",
             "checkpoint_dir",
             "shards",
@@ -234,7 +220,8 @@ class SynthesisRequest:
         }
         unknown = set(raw) - known
         if unknown:
-            # includes the loose pre-1.2 oracle keys, removed in 1.3
+            # includes the loose pre-1.2 oracle keys, removed in 1.3,
+            # and the candidate filter's "reject", removed in 1.6
             raise ValueError(
                 f"unknown synthesis option fields {sorted(unknown)} "
                 "(oracle knobs travel nested in the oracle_spec object)"

@@ -1,16 +1,12 @@
 """The static-analysis layer (:mod:`repro.analysis.flow`).
 
-Three angles, mirroring the package's contract:
+Two angles, mirroring the package's contract:
 
 * the interval abstract domain's transfer rules and Kleene formula
   evaluation on hand-built ASTs (emptiness/acyclicity propagation);
-* the closed-form applicability counts against the real relaxation
-  generators (a property test over the enumerator and the catalog);
 * the MDL01x/LIT01x passes, the ``empty:fr`` campaign skip, and the
   diagnostic-id registry bookkeeping.
 """
-
-import itertools
 
 import pytest
 
@@ -22,7 +18,6 @@ from repro.analysis.flow import (
     Interval,
     Tri,
     UnboundRelation,
-    application_counts,
     dynamic_intervals,
     env_from_problem,
     eval_expr,
@@ -32,16 +27,13 @@ from repro.analysis.flow import (
     render_expr,
     render_formula,
 )
-from repro.analysis.litmus_lint import early_reject
 from repro.analysis.model_lint import alloy_context, lint_model_context
 from repro.analysis.registry import LitmusLintContext, run_family
 from repro.analysis.selfcheck import id_registry_problems
-from repro.core.enumerator import EnumerationConfig, enumerate_tests
 from repro.litmus.catalog import CATALOG
 from repro.litmus.events import read, write
 from repro.litmus.test import LitmusTest
-from repro.models.registry import available_models, get_model
-from repro.relax.instruction import relaxations_for
+from repro.models.registry import get_model
 from repro.relational import ast
 
 # -- the abstract domain ----------------------------------------------------------
@@ -234,34 +226,6 @@ class TestEncodingEnvironments:
         assert not fr_statically_empty(CATALOG["MP"].test)
 
 
-# -- applicability closed forms ---------------------------------------------------
-
-
-class TestApplicationCounts:
-    """The closed forms must equal the generators, relaxation by
-    relaxation (the module docstring's advertised property)."""
-
-    def check(self, test, vocab):
-        expected = {
-            r.name: len(list(r.applications(test, vocab)))
-            for r in relaxations_for(vocab)
-        }
-        assert application_counts(test, vocab) == expected
-
-    @pytest.mark.parametrize("model_name", available_models())
-    def test_enumerated_candidates(self, model_name):
-        vocab = get_model(model_name).vocabulary
-        config = EnumerationConfig(
-            max_events=3, max_addresses=2, max_deps=1, max_rmws=1
-        )
-        for test in itertools.islice(enumerate_tests(vocab, config), 60):
-            self.check(test, vocab)
-
-    def test_catalog(self):
-        for entry in CATALOG.values():
-            self.check(entry.test, get_model(entry.model).vocabulary)
-
-
 # -- the MDL01x passes ------------------------------------------------------------
 
 
@@ -315,7 +279,7 @@ class TestModelFlowPasses:
             assert flow_ids == set(), name
 
 
-# -- the LIT01x passes and the early-reject hook ----------------------------------
+# -- the LIT01x passes ------------------------------------------------------------
 
 
 def litmus_lint(test, model=None):
@@ -343,11 +307,6 @@ class TestLitmusFlowPasses:
         for entry in CATALOG.values():
             report = litmus_lint(entry.test, model=get_model(entry.model))
             assert not [d for d in report if d.id == "LIT010"], entry.name
-
-    def test_early_reject_drops_degenerate_candidates(self):
-        reject = early_reject(get_model("sc"))
-        assert reject(LitmusTest(((write(0, 1),),)))
-        assert not reject(CATALOG["MP"].test)
 
 
 # -- the empty:fr campaign skip ---------------------------------------------------

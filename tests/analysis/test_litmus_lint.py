@@ -1,8 +1,7 @@
 """Litmus lint: seeded defects must fire, catalog entries must not."""
 
-from repro.analysis.litmus_lint import early_reject, find_duplicate_tests
+from repro.analysis.litmus_lint import find_duplicate_tests
 from repro.analysis.registry import LitmusLintContext, run_family
-from repro.core.enumerator import EnumerationConfig, enumerate_tests
 from repro.litmus.catalog import CATALOG
 from repro.litmus.events import FenceKind, Order, fence, read, write
 from repro.litmus.execution import Outcome
@@ -113,24 +112,3 @@ class TestDuplicateTests:
             )
         )
         assert report == []
-
-
-class TestEarlyReject:
-    def test_rejects_unwritten_read_candidate(self):
-        reject = early_reject()
-        bad = LitmusTest(((write(0, 1), read(1)), (read(0),)))
-        assert reject(bad)
-        assert not reject(CATALOG["MP"].test)
-
-    def test_enumerator_honours_reject_hook(self):
-        vocab = get_model("tso").vocabulary
-        config = EnumerationConfig(
-            max_events=3, max_addresses=2, require_communication=False
-        )
-        baseline = list(enumerate_tests(vocab, config))
-        filtered = list(
-            enumerate_tests(vocab, config, reject=early_reject())
-        )
-        assert 0 < len(filtered) < len(baseline)
-        reject = early_reject()
-        assert all(not reject(t) for t in filtered)

@@ -1,5 +1,8 @@
 """Candidate enumeration tests."""
 
+import pytest
+
+from repro.analysis import LitmusLintContext, Severity, run_family
 from repro.core.enumerator import (
     EnumerationConfig,
     count_tests,
@@ -7,8 +10,9 @@ from repro.core.enumerator import (
     thread_units,
 )
 from repro.core.canonical import canonical_form
+from repro.core.synthesis import SynthesisOptions
 from repro.litmus.catalog import CATALOG
-from repro.models.registry import get_model
+from repro.models.registry import available_models, get_model
 
 TSO = get_model("tso").vocabulary
 SCC = get_model("scc").vocabulary
@@ -145,3 +149,36 @@ class TestEnumerateTests:
         c3 = count_tests(TSO, cfg(max_events=3))
         c4 = count_tests(TSO, cfg(max_events=4))
         assert c4 > c3 > 0
+
+
+class TestStructuralPrunesSubsumeTheLint:
+    """The enumerator's structural prunes are the only candidate filter:
+    no candidate of the default stream carries a litmus-family finding
+    at warning severity or above.  Vocabulary-only slots keep LIT003
+    (dead synchronization) quiet, the communication prune gives every
+    location a write (LIT001), and every candidate has at least two
+    events, so RI applies (LIT010).  If the enumerator ever emits a
+    candidate the lint would flag, this fails."""
+
+    @pytest.mark.parametrize(
+        "model_name, bound",
+        [(name, 2) for name in available_models()]
+        + [
+            (name, 3)
+            for name in (
+                "sc", "tso", "power", "armv7", "scc", "sc_vmem", "tso_vmem"
+            )
+        ],
+    )
+    def test_default_stream_is_lint_clean(self, model_name, bound):
+        model = get_model(model_name)
+        config = SynthesisOptions(bound=bound).resolved_config(model)
+        flagged = []
+        for test in enumerate_tests(model.vocabulary, config):
+            ctx = LitmusLintContext("candidate", test, model=model)
+            flagged.extend(
+                (diag.id, test.pretty())
+                for diag in run_family("litmus", ctx)
+                if diag.severity >= Severity.WARNING
+            )
+        assert flagged == []

@@ -87,16 +87,3 @@ class TestShardPartition:
         for bad in [(0, 0), (-1, 2), (2, 2), (5, 3)]:
             with pytest.raises(ValueError):
                 next(iter(enumerate_tests(vocab, config, shard=bad)))
-
-    def test_reject_filter_applies_per_shard(self):
-        vocab = get_model("tso").vocabulary
-        config = _config(3)
-        reject = lambda test: len(test.threads) == 1  # noqa: E731
-        base = Counter(enumerate_tests(vocab, config, reject=reject))
-        sharded: Counter = Counter()
-        for i in range(3):
-            sharded.update(
-                enumerate_tests(vocab, config, reject=reject, shard=(i, 3))
-            )
-        assert sharded == base
-        assert all(len(t.threads) > 1 for t in base)

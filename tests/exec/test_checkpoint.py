@@ -147,6 +147,23 @@ class TestCheckpoint:
         assert resumed.union.to_json() == baseline.union.to_json()
         assert resumed.candidates == baseline.candidates
 
+    def test_meta_keeps_the_removed_filter_key(self, tmp_path):
+        # Checkpoints written before 1.6 record the candidate filter as
+        # "reject": null (resumable as-is) or "early-reject" (refused,
+        # naming the field: the filter no longer exists).
+        tso = get_model("tso")
+        ckpt = str(tmp_path / "ck")
+        synthesize(tso, _options(checkpoint_dir=ckpt))
+        meta_path = os.path.join(ckpt, "meta.json")
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+        assert "reject" in meta and meta["reject"] is None
+        meta["reject"] = "early-reject"
+        with open(meta_path, "w") as fh:
+            json.dump(meta, fh)
+        with pytest.raises(CheckpointError, match="mismatched: reject"):
+            synthesize(tso, _options(checkpoint_dir=ckpt))
+
     def test_store_rejects_foreign_meta(self, tmp_path):
         directory = str(tmp_path / "ck")
         CheckpointStore(directory, {"meta_version": 1, "model": "tso"})

@@ -56,7 +56,6 @@ class TestSynthesisOptions:
             "SynthesisOptions",
             "SynthesisResult",
             "ExplicitOracle",
-            "EARLY_REJECT",
             "get_model",
             "parse_test",
             "format_test",

@@ -68,15 +68,6 @@ class TestShardedRuntime:
             )
             assert_same_result(sequential, result)
 
-    def test_early_reject_sentinel_crosses_processes(self):
-        from repro.core.synthesis import EARLY_REJECT
-
-        seq = synthesize(get_model("tso"), _options(reject=EARLY_REJECT))
-        par = synthesize(
-            get_model("tso"), _options(reject=EARLY_REJECT, jobs=2)
-        )
-        assert_same_result(seq, par)
-
     def test_progress_reports_cumulative_candidates(self, sequential):
         events = []
         result = synthesize(
@@ -96,11 +87,12 @@ class TestShardedRuntime:
                 get_model("tso"), _options(jobs=2, candidates=tests)
             )
 
-    def test_unpicklable_reject_rejected_up_front(self):
-        oracle_probe = object()
-        reject = lambda test: oracle_probe is None  # noqa: E731
-        with pytest.raises(ValueError, match="picklable"):
-            synthesize(get_model("tso"), _options(jobs=2, reject=reject))
+    def test_unknown_axiom_rejected_up_front(self):
+        # refused in the parent, before any child starts: a ValueError
+        # naming the axiom, not a RemoteJobError wrapping a KeyError
+        options = SynthesisOptions(bound=2, axioms=["nope"], jobs=2)
+        with pytest.raises(ValueError, match="unknown axiom 'nope'"):
+            synthesize(get_model("tso"), options)
 
     def test_plan_shards_defaults(self):
         assert plan_shards(1) >= 1

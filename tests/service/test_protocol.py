@@ -6,12 +6,7 @@ import pytest
 
 from repro.core.enumerator import EnumerationConfig
 from repro.core.minimality import CriterionMode
-from repro.core.synthesis import (
-    EARLY_REJECT,
-    OracleSpec,
-    SynthesisOptions,
-    synthesize,
-)
+from repro.core.synthesis import OracleSpec, SynthesisOptions, synthesize
 from repro.models.registry import get_model
 from repro.obs import load_report
 from repro.service.protocol import (
@@ -35,7 +30,6 @@ class TestSynthesisRequest:
             mode=CriterionMode.EXACT,
             config=EnumerationConfig(max_events=3, max_addresses=1),
             oracle_spec=OracleSpec(oracle="relational", cnf_cache_dir="cnf"),
-            reject=EARLY_REJECT,
         )
         back = SynthesisRequest.from_payload(req.to_payload())
         # axioms normalize to a tuple on the way in, so compare the
@@ -80,18 +74,6 @@ class TestSynthesisRequest:
         with pytest.raises(ValueError, match="process-local"):
             req.to_payload()
 
-    def test_custom_reject_callable_rejected(self):
-        req = SynthesisRequest(
-            "tso", SynthesisOptions(bound=3, reject=lambda t: False)
-        )
-        with pytest.raises(ValueError, match="EARLY_REJECT"):
-            req.to_payload()
-
-    def test_early_reject_sentinel_survives(self):
-        req = _request(reject=EARLY_REJECT)
-        back = SynthesisRequest.from_payload(req.to_payload())
-        assert back.options.reject == EARLY_REJECT
-
     def test_unknown_field_rejected(self):
         payload = _request().to_payload()
         payload["options"]["bogus"] = 1
@@ -131,6 +113,16 @@ class TestSynthesisRequest:
         with pytest.raises(ValueError, match="unknown oracle spec") as info:
             SynthesisRequest.from_payload(payload)
         assert field in str(info.value)
+
+    def test_removed_reject_field_rejected(self):
+        # The lint-based candidate filter left in 1.6; a request still
+        # carrying its "reject" option is refused, naming the field.
+        payload = _request().to_payload()
+        assert "reject" not in payload["options"]
+        payload["options"]["reject"] = "early-reject"
+        with pytest.raises(ValueError, match="unknown synthesis option") as info:
+            SynthesisRequest.from_payload(payload)
+        assert "reject" in str(info.value)
 
     def test_missing_model_rejected(self):
         with pytest.raises(ValueError, match="model"):

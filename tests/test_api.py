@@ -7,6 +7,7 @@ import re
 import pytest
 
 import repro
+import repro.analysis
 
 
 class TestPublicAPI:
@@ -61,7 +62,8 @@ class TestPublicAPI:
         # The loose oracle shims finished their window in 1.3: the
         # constructor keywords and the read aliases are both gone.  1.5
         # removed the cold-solver and prefilter knobs from OracleSpec,
-        # SynthesisOptions.progress and CampaignOptions.oracle_spec.
+        # SynthesisOptions.progress and CampaignOptions.oracle_spec; 1.6
+        # removed the lint-based candidate filter with its public names.
         synthesis = (repro.SynthesisOptions, {"bound": 3})
         spec = (repro.OracleSpec, {})
         campaign = (repro.CampaignOptions, {"model": "tso"})
@@ -71,6 +73,7 @@ class TestPublicAPI:
             (synthesis, "cnf_cache_dir", "cnf"),
             (synthesis, "prefilter", True),
             (synthesis, "progress", print),
+            (synthesis, "reject", "early-reject"),
             (spec, "incremental", False),
             (spec, "prefilter", True),
             (campaign, "prefilter", True),
@@ -79,6 +82,12 @@ class TestPublicAPI:
             with pytest.raises(TypeError, match=name):
                 cls(**base, **{name: value})
             assert not hasattr(cls(**base), name)
+        for module, name in (
+            (repro, "EARLY_REJECT"),
+            (repro.analysis, "early_reject"),
+            (repro.analysis, "application_counts"),
+        ):
+            assert not hasattr(module, name), name
         fields = [f.name for f in dataclasses.fields(repro.OracleSpec)]
         assert fields == ["oracle", "cnf_cache_dir"]
         options = repro.SynthesisOptions(

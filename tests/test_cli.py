@@ -127,6 +127,55 @@ class TestCLIOracleCombinations:
         assert "RemoteJobError" not in captured.out + captured.err
 
 
+class TestCLIOptionErrors:
+    """A bad option value or an unknown axiom name is refused before any
+    work starts: one ``error:`` line, exit status 2, no traceback."""
+
+    SERVE = "serve --socket /nonexistent/repro.sock --no-cnf-cache"
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            ("synthesize --model tso --bound 0", "bound"),
+            ("synthesize --model tso --jobs 0", "jobs"),
+            ("submit --model tso --bound 0 --server /nonexistent.sock", "bound"),
+            ("compare --model tso --bound 0", "bound"),
+            (f"{SERVE} --pool-workers 0", "workers"),
+            (f"{SERVE} --max-queued-per-client -1", "max_queued_per_client"),
+            (
+                "synthesize --model tso --bound 2 --axiom nope --jobs 1",
+                "unknown axiom 'nope'",
+            ),
+            (
+                "synthesize --model tso --bound 2 --axiom nope --jobs 2",
+                "unknown axiom 'nope'",
+            ),
+        ],
+        ids=[
+            "synthesize-bound",
+            "synthesize-jobs",
+            "submit-bound",
+            "compare-bound",
+            "serve-pool-workers",
+            "serve-max-queued-per-client",
+            "axiom-jobs1",
+            "axiom-jobs2",
+        ],
+    )
+    def test_bad_value_exits_2(self, capsys, argv, reason):
+        code = main(argv.split())
+        captured = capsys.readouterr()
+        output = captured.out + captured.err
+        assert code == 2
+        errors = [
+            line
+            for line in captured.err.splitlines()
+            if line.startswith("error: ")
+        ]
+        assert len(errors) == 1 and reason in errors[0]
+        assert "Traceback" not in output and "RemoteJobError" not in output
+
+
 class TestCLIFileErrors:
     """check/show/compare fail cleanly and uniformly: one
     ``error: <path>: <reason>`` line on stderr, exit status 2."""
@@ -233,20 +282,18 @@ class TestCLILint:
         assert main(["lint", str(path), "--model", "tso"]) == 1
         assert "LIT003" in capsys.readouterr().out
 
-    def test_synthesize_early_reject_flag(self, capsys):
-        code = main(
-            [
-                "synthesize",
-                "--model",
-                "tso",
-                "--bound",
-                "3",
-                "--max-addresses",
-                "1",
-                "--early-reject",
-            ]
-        )
-        assert code == 0
+    @pytest.mark.parametrize("command", ["synthesize", "submit"])
+    def test_early_reject_flag_is_gone(self, capsys, command):
+        # the lint-based candidate filter was removed in 1.6: argparse
+        # refuses the flag, and --help no longer lists it
+        argv = [command, "--model", "tso", "--server", "/nonexistent.sock"]
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--early-reject"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --early-reject" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "--early-reject" not in capsys.readouterr().out
 
 
 class TestCLIDifftest:
