@@ -18,6 +18,10 @@ Boots `repro.service` on a unix socket with one resident worker, then:
   and a two-worker daemon (fresh CNF dirs each) and asserts two workers
   are at least 1.3x faster wall-clock on hosts with two or more CPUs,
   byte-identical, and that every job streamed >= 1 progress event,
+* waits on a long job (explicit-oracle power, bound 4) from a thread,
+  shuts the daemon down, and asserts it exits within 5 s while the
+  waiter gets a terminal ``job-result`` (``shutdown_with_waiter_s``),
+* fails whenever a daemon outlives its shutdown by 10 s,
 * lints the emitted service trace directory (no orphan spans, every
   span timed) and writes the combined measurement to
   ``BENCH_serve.json`` (``bench-serve`` v3: a ``workers`` block in
@@ -31,6 +35,7 @@ Exit status 0 on success.  Run from the repository root:
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import os
 import sys
@@ -43,7 +48,14 @@ from repro.core.enumerator import EnumerationConfig
 from repro.core.synthesis import OracleSpec, synthesize
 from repro.models.registry import get_model
 from repro.obs import Report
-from repro.service import Client, JobManager, SynthesisRequest, serve_async
+from repro.service import (
+    Client,
+    JobManager,
+    JobResult,
+    ServiceError,
+    SynthesisRequest,
+    serve_async,
+)
 
 BOUND = int(os.environ.get("SERVE_SMOKE_BOUND", "4"))
 OUT = os.environ.get("SERVE_SMOKE_OUT", "BENCH_serve.json")
@@ -51,6 +63,9 @@ TRACE_DIR = os.environ.get("SERVE_SMOKE_TRACE_DIR", "BENCH_serve_trace")
 #: two workers must beat one by this factor on the two-job concurrent
 #: workload
 MIN_WORKER_SPEEDUP = float(os.environ.get("SERVE_SMOKE_MIN_SPEEDUP", "1.3"))
+#: a daemon must exit this many seconds after a shutdown, even with a
+#: client waiting on a running job
+SHUTDOWN_LIMIT_S = 5.0
 
 
 def request(
@@ -68,8 +83,9 @@ def request(
 class Daemon:
     """A serve_async loop on a background thread, stoppable."""
 
-    def __init__(self, socket_path: str, **manager_knobs):
+    def __init__(self, socket_path: str, failures: list[str], **manager_knobs):
         self.socket_path = socket_path
+        self.failures = failures
         self.manager = JobManager(**manager_knobs)
         self._ready = threading.Event()
         self._stop: asyncio.Event | None = None
@@ -95,11 +111,70 @@ class Daemon:
             raise RuntimeError("daemon never came up")
         return self
 
+    def stopped(self, timeout: float) -> bool:
+        """Wait up to ``timeout`` s for the serve loop to end."""
+        self._thread.join(timeout)
+        return not self._thread.is_alive()
+
     def __exit__(self, *exc) -> None:
         assert self._loop is not None and self._stop is not None
-        self._loop.call_soon_threadsafe(self._stop.set)
-        self._thread.join(10)
+        with contextlib.suppress(RuntimeError):  # loop already gone
+            self._loop.call_soon_threadsafe(self._stop.set)
+        if not self.stopped(10):
+            self.failures.append(
+                f"daemon on {self.socket_path} still running 10 s after "
+                "its shutdown"
+            )
         self.manager.close()
+
+
+def shutdown_with_waiter(workdir: str, failures: list[str]) -> float:
+    """Shut a daemon down while a client waits on a long running job.
+
+    Returns the seconds from the shutdown request to the daemon's exit;
+    the waiter must get a terminal ``job-result`` for the job.
+    """
+    socket_path = os.path.join(workdir, "repro-shutdown.sock")
+    with Daemon(socket_path, failures, workers=1) as daemon:
+        client = Client(socket_path)
+        status, _ = client.submit(SynthesisRequest.build("power", bound=4))
+        attached = threading.Event()
+        waited: list = []
+
+        def wait() -> None:
+            try:
+                report = client.wait(
+                    "result",
+                    lambda event: attached.set(),
+                    job_id=status.job_id,
+                )
+                waited.append(JobResult.from_payload(report.payload))
+            except ServiceError as exc:
+                waited.append(exc)
+
+        waiter = threading.Thread(target=wait, daemon=True)
+        waiter.start()
+        if not attached.wait(60):
+            failures.append("waiter saw no progress event from the long job")
+        started = time.perf_counter()
+        client.shutdown()
+        exited = daemon.stopped(SHUTDOWN_LIMIT_S)
+        elapsed = time.perf_counter() - started
+        if not exited:
+            failures.append(
+                f"daemon with a waiter still running {SHUTDOWN_LIMIT_S:.0f} s "
+                "after shutdown"
+            )
+        waiter.join(SHUTDOWN_LIMIT_S)
+        if not waited or not isinstance(waited[0], JobResult):
+            failures.append(
+                f"waiter got no job-result at shutdown: {waited or 'nothing'}"
+            )
+        elif waited[0].state != "failed":
+            failures.append(
+                f"running job ended {waited[0].state} at shutdown, not failed"
+            )
+    return elapsed
 
 
 def race_workers(
@@ -116,6 +191,7 @@ def race_workers(
     jobs_block: dict = {}
     with Daemon(
         socket_path,
+        failures,
         workers=workers,
         cnf_cache_dir=os.path.join(workdir, f"cnf-w{workers}"),
     ):
@@ -168,7 +244,11 @@ def main() -> int:
 
     # --- cold daemon: dedup + byte-identical contract ------------------
     with Daemon(
-        socket_path, workers=1, cnf_cache_dir=cnf_dir, trace_dir=TRACE_DIR
+        socket_path,
+        failures,
+        workers=1,
+        cnf_cache_dir=cnf_dir,
+        trace_dir=TRACE_DIR,
     ):
         client = Client(socket_path)
         first, deduped_first = client.submit(request())
@@ -208,9 +288,7 @@ def main() -> int:
             failures.append("cold run reported no compile misses")
 
     # --- restarted daemon: the warm-compile story ----------------------
-    with Daemon(
-        socket_path, workers=1, cnf_cache_dir=cnf_dir
-    ):
+    with Daemon(socket_path, failures, workers=1, cnf_cache_dir=cnf_dir):
         client = Client(socket_path)
         events: list[dict] = []
         warm = client.synthesize(
@@ -275,6 +353,11 @@ def main() -> int:
             f">= {MIN_WORKER_SPEEDUP}x worker speedup",
         )
 
+    # --- shutdown with a client waiting on a running job --------------
+    measurement["shutdown_with_waiter_s"] = shutdown_with_waiter(
+        workdir, failures
+    )
+
     # --- the trace the first daemon emitted must lint clean ------------
     findings = lint_trace_dir(TRACE_DIR)
     measurement["trace_findings"] = [f.id for f in findings]
@@ -301,7 +384,8 @@ def main() -> int:
     print(
         f"serve smoke OK: dedup_hits={dedup}, "
         f"warm compile_hit_rate={rate:.2f}, "
-        f"two-worker speedup {speedup:.2f}x"
+        f"two-worker speedup {speedup:.2f}x, shutdown with a waiter "
+        f"{measurement['shutdown_with_waiter_s']:.2f}s"
     )
     return 0
 

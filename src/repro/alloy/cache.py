@@ -207,6 +207,3 @@ class CNFCache:
             "compile_stores": self.stores,
             "compile_warm_entries": self.warm_entries,
         }
-
-    def stats(self) -> dict[str, int]:
-        return self.as_metrics()

@@ -38,7 +38,6 @@ from repro.alloy.models import ALLOY_MODELS
 from repro.core.oracle import TestAnalysis
 from repro.litmus.execution import Execution, Outcome
 from repro.litmus.test import LitmusTest
-from repro.obs import derive_rates
 from repro.relational.solve import ModelFinder, compile_snapshot
 from repro.sat.solver import SolverStats
 
@@ -358,11 +357,3 @@ class AlloyOracle:
         for name, value in sat.as_metrics().items():
             stats[f"sat_{name}"] = value
         return stats
-
-    def cache_stats(self) -> dict[str, float]:
-        """Counters plus derived rates for ``--json`` surfacing — an
-        adapter over :meth:`as_metrics`; merging across shards sums the
-        raw counters and recomputes the rates with
-        :func:`repro.obs.derive_rates`."""
-        metrics = self.as_metrics()
-        return {**metrics, **derive_rates(metrics)}

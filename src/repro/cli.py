@@ -312,8 +312,7 @@ def _cmd_show(args) -> int:
     if args.name:
         entry = CATALOG.get(args.name)
         if entry is None:
-            print(f"unknown test {args.name!r}", file=sys.stderr)
-            return 1
+            raise _CliError(f"unknown test {args.name!r}")
         print(format_test(entry.test, entry.forbidden))
         if entry.note:
             print(f"# {entry.note}")
@@ -599,8 +598,15 @@ def _print_report(report) -> None:
     print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
 
 
+def _print_progress(event: dict) -> None:
+    detail = " ".join(
+        f"{key}={event[key]}" for key in sorted(event) if key != "phase"
+    )
+    print(f"progress: {event.get('phase', '?')} {detail}".rstrip(), file=sys.stderr)
+
+
 def _cmd_submit(args) -> int:
-    from repro.service import ServiceError, SynthesisRequest
+    from repro.service import JobResult, ServiceError, SynthesisRequest
 
     options = _synthesis_options(args)
     _warn_diagnostics(analysis.lint_oracle_options(options))
@@ -608,43 +614,18 @@ def _cmd_submit(args) -> int:
     client = _service_client(args)
     try:
         if args.wait:
-            from repro.service.protocol import (
-                JOB_PROGRESS_SCHEMA_NAME,
-                JOB_RESULT_SCHEMA_NAME,
-                JobProgress,
-                JobResult,
+            # progress events go to stderr as they arrive, the result
+            # summary to stdout; --json prints the job-result envelope
+            report = client.wait(
+                "submit",
+                None if args.json else _print_progress,
+                request=request.to_payload(),
+                wait=True,
             )
-
             if args.json:
-                report = client.call(
-                    "submit", request=request.to_payload(), wait=True
-                )
                 _print_report(report)
                 return 0
-            # Text mode rides the streamed exchange: progress events go
-            # to stderr as they arrive, the result summary to stdout.
-            job = None
-            for report in client.stream(
-                "submit", request=request.to_payload(), stream=True
-            ):
-                if report.schema_name == JOB_PROGRESS_SCHEMA_NAME:
-                    event = JobProgress.from_payload(report.payload).event
-                    detail = " ".join(
-                        f"{key}={event[key]}"
-                        for key in sorted(event)
-                        if key != "phase"
-                    )
-                    print(
-                        f"progress: {event.get('phase', '?')} "
-                        f"{detail}".rstrip(),
-                        file=sys.stderr,
-                    )
-                elif report.schema_name == JOB_RESULT_SCHEMA_NAME:
-                    job = JobResult.from_payload(report.payload)
-            if job is None:
-                raise _CliError(
-                    f"{args.server}: stream ended without a job-result"
-                )
+            job = JobResult.from_payload(report.payload)
             if job.result is None:
                 raise _CliError(
                     f"job {job.job_id} finished {job.state}: "
@@ -797,7 +778,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--timeout",
             type=float,
             default=None,
-            help="seconds to wait on the daemon per exchange (default: "
+            help="seconds to wait for each answer from the daemon; a "
+            "waiting exchange answers once per progress event (default: "
             "no limit)",
         )
 

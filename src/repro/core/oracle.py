@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from repro.litmus.execution import Execution, Outcome
 from repro.litmus.test import LitmusTest
 from repro.models.base import MemoryModel
-from repro.obs import derive_rates
 from repro.semantics.enumerate import enumerate_executions
 
 __all__ = ["TestAnalysis", "ExplicitOracle"]
@@ -117,13 +116,6 @@ class ExplicitOracle:
         """The :class:`repro.obs.Stats` protocol: raw summable counters
         only — derived ratios come from :func:`repro.obs.derive_rates`."""
         return dict(self.stats)
-
-    def cache_stats(self) -> dict[str, float]:
-        """Counters plus derived hit rates — an adapter over
-        :meth:`as_metrics` kept for the ``--json`` surfaces; merging
-        across shards sums the raw counters and recomputes the rates."""
-        metrics = self.as_metrics()
-        return {**metrics, **derive_rates(metrics)}
 
     # -- execution-level helpers -----------------------------------------------
 

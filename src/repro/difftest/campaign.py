@@ -38,14 +38,12 @@ from repro.exec.fanout import ResidentTask, run_fanout
 from repro.exec.sharding import plan_shards
 from repro.models.registry import get_model
 from repro.obs import (
-    TOOL_NAME,
-    TRACE_SCHEMA_NAME,
-    TRACE_SCHEMA_VERSION,
     Report,
     Tracer,
     format_event,
     header_event,
     null_tracer,
+    write_trace_meta,
 )
 
 __all__ = [
@@ -259,18 +257,13 @@ def _write_campaign_trace(
     trace_dir: str, options: CampaignOptions, merged: list[Discrepancy], tests_run: int
 ) -> None:
     """``meta.json`` + the deterministic ``merged.jsonl`` for a campaign."""
-    os.makedirs(trace_dir, exist_ok=True)
-    meta = {
-        "schema": {"name": TRACE_SCHEMA_NAME, "version": TRACE_SCHEMA_VERSION},
-        "tool": TOOL_NAME,
-        "command": "difftest",
-        "model": options.model,
-        "seed": options.seed,
-        "budget": options.budget,
-    }
-    with open(os.path.join(trace_dir, "meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_trace_meta(
+        trace_dir,
+        "difftest",
+        model=options.model,
+        seed=options.seed,
+        budget=options.budget,
+    )
     lines = [format_event(header_event())]
     lines.append(
         format_event(

@@ -33,6 +33,7 @@ message, and a child that dies mid-item raises :class:`WorkerDied`.
 from __future__ import annotations
 
 import contextlib
+import signal
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
@@ -145,12 +146,20 @@ def run_fanout(task: ResidentTask, shard_count: int, jobs: int = 1) -> list[Any]
 # -- resident child processes ---------------------------------------------------
 
 
+def _exit_on_sigterm(signum: int, frame: Any) -> None:
+    raise SystemExit(128 + signum)
+
+
 def _resident_main(task: ResidentTask, conn: Any) -> None:
     """Child-process loop: one job in, events out, one answer per job.
 
     ``setup`` runs on the first job, so its failure is reported as that
-    job's error (and retried on the next job) like any other.
+    job's error (and retried on the next job) like any other.  A
+    terminated child unwinds instead of dying on the spot, so a job that
+    fanned out stops its own children on the way out: orphaned, they
+    would run on, holding this child's pipe open.
     """
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     state: Any = None
     ready = False
 
@@ -281,6 +290,14 @@ class ResidentProcess:
         """Run one job in the resident child: :meth:`send` then :meth:`receive`."""
         self.send(job)
         return self.receive(on_event)
+
+    def interrupt(self) -> None:
+        """Terminate the child, from any thread: the job it runs raises
+        :class:`WorkerDied` in :meth:`receive`, and the next job spawns
+        a fresh child.  It only signals; the owning thread still closes."""
+        proc = self._proc
+        if proc is not None:
+            proc.terminate()
 
     def close(self) -> None:
         """Stop the child: an idle one exits on the shutdown sentinel, a

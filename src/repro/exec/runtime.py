@@ -19,7 +19,6 @@ parallelism, resume and tracing are pure wall-clock concerns.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import replace
@@ -41,36 +40,9 @@ from repro.exec.fanout import ResidentTask, fanout
 from repro.exec.merge import merge_shards
 from repro.exec.sharding import plan_shards
 from repro.models.base import MemoryModel
-from repro.obs import (
-    TOOL_NAME,
-    TRACE_SCHEMA_NAME,
-    TRACE_SCHEMA_VERSION,
-    Tracer,
-    null_tracer,
-)
+from repro.obs import Tracer, null_tracer, write_trace_meta
 
 __all__ = ["run_sharded"]
-
-
-def _write_trace_meta(trace_dir: str, model: MemoryModel, opts: SynthesisOptions) -> None:
-    """``meta.json``: the deterministic description of a traced run.
-
-    Worker counts and wall timings deliberately stay out — the merged
-    trace must be byte-identical for every ``--jobs`` value, and meta is
-    part of what consumers compare.
-    """
-    os.makedirs(trace_dir, exist_ok=True)
-    meta = {
-        "schema": {"name": TRACE_SCHEMA_NAME, "version": TRACE_SCHEMA_VERSION},
-        "tool": TOOL_NAME,
-        "command": "synthesize",
-        "model": model.name,
-        "bound": opts.bound,
-        "oracle": opts.oracle_spec.oracle,
-    }
-    with open(os.path.join(trace_dir, "meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 # -- the fan-out task -----------------------------------------------------------
@@ -118,7 +90,15 @@ def run_sharded(
         check_oracle_spec(model, opts.mode, opts.oracle_spec)
     start = time.perf_counter()
     if opts.trace_dir is not None:
-        _write_trace_meta(opts.trace_dir, model, opts)
+        # no worker counts or timings: meta is part of what consumers
+        # compare, and a trace is byte-identical at every --jobs value
+        write_trace_meta(
+            opts.trace_dir,
+            "synthesize",
+            model=model.name,
+            bound=opts.bound,
+            oracle=opts.oracle_spec.oracle,
+        )
         tracer = Tracer(os.path.join(opts.trace_dir, "driver.jsonl"))
     else:
         tracer = null_tracer()

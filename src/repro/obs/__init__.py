@@ -44,6 +44,7 @@ from .trace import (
     header_event,
     null_tracer,
     read_events,
+    write_trace_meta,
 )
 
 __all__ = [
@@ -65,6 +66,7 @@ __all__ = [
     "format_event",
     "header_event",
     "read_events",
+    "write_trace_meta",
     "TRACE_SCHEMA_NAME",
     "TRACE_SCHEMA_VERSION",
     "TRACE_REPORT_SCHEMA_NAME",

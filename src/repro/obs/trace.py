@@ -32,6 +32,8 @@ import os
 import time
 from typing import IO, Any, Iterator
 
+from .report import TOOL_NAME
+
 __all__ = [
     "TRACE_SCHEMA_NAME",
     "TRACE_SCHEMA_VERSION",
@@ -42,6 +44,7 @@ __all__ = [
     "format_event",
     "header_event",
     "read_events",
+    "write_trace_meta",
 ]
 
 TRACE_SCHEMA_NAME = "repro-trace"
@@ -59,6 +62,25 @@ def header_event() -> dict[str, Any]:
         "ev": "header",
         "schema": {"name": TRACE_SCHEMA_NAME, "version": TRACE_SCHEMA_VERSION},
     }
+
+
+def write_trace_meta(trace_dir: str, command: str, **fields: Any) -> None:
+    """Write a trace directory's ``meta.json`` (creating the directory).
+
+    The header every trace directory shares — trace schema, tool and
+    ``command`` — plus the caller's ``fields``, with sorted keys, so
+    two runs' files compare byte for byte.
+    """
+    os.makedirs(trace_dir, exist_ok=True)
+    meta = {
+        "schema": {"name": TRACE_SCHEMA_NAME, "version": TRACE_SCHEMA_VERSION},
+        "tool": TOOL_NAME,
+        "command": command,
+        **fields,
+    }
+    with open(os.path.join(trace_dir, "meta.json"), "w", encoding="utf-8") as fh:
+        json.dump(meta, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def read_events(path: str) -> Iterator[dict[str, Any]]:

@@ -15,8 +15,9 @@ The package splits along the process boundary:
   ``repro submit`` / ``repro jobs`` / ``synthesize --server``.
 
 A daemon's answers are *byte-identical* to local runs: results cross
-the wire entry-by-entry and are reassembled in candidate order, so
-``synthesize --server ADDR --json-suite`` equals the local output.
+the wire entry-by-entry and are reassembled in candidate order, so the
+suite ``synthesize --server ADDR --out FILE`` writes equals the local
+one.
 """
 
 from repro.service.client import Client, ServiceError, parse_address

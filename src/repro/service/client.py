@@ -1,19 +1,23 @@
 """The thin synchronous client of the synthesis daemon.
 
 One :class:`Client` per daemon address; one socket connection per call
-(the protocol is a single request line / single response line exchange,
-so holding connections open buys nothing and leaks file descriptors
-into forked test runners).  Addresses are either a filesystem path (a
-unix socket) or ``host:port``; :func:`parse_address` decides by shape.
+(holding connections open buys nothing and leaks file descriptors into
+forked test runners).  Addresses are either a filesystem path (a unix
+socket) or ``host:port``; :func:`parse_address` decides by shape.
 
-Every method unwraps the daemon's :class:`repro.obs.Report` envelope
-into the matching protocol type and converts ``service-error``
-envelopes into :class:`ServiceError` — callers never see raw wire
-documents unless they ask for them (``call``).
+Most exchanges are one request line and one response line; waiting on a
+job (:meth:`Client.wait`, behind :meth:`Client.result` and
+:meth:`Client.synthesize`) reads the job's progress envelopes and then
+its result off the same connection.  Every method unwraps the daemon's
+:class:`repro.obs.Report` envelope into the matching protocol type and
+converts ``service-error`` envelopes into :class:`ServiceError` —
+callers never see raw wire documents unless they ask for them
+(``call``, ``wait``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import socket
 from typing import Any, Callable, Iterator
@@ -73,6 +77,8 @@ class Client:
 
     def __init__(self, address: str, timeout: float | None = 60.0):
         self.address = address
+        #: socket timeout: the longest silence tolerated between two
+        #: envelopes (None: wait forever)
         self.timeout = timeout
         self._socket_path, self._host, self._port = parse_address(address)
 
@@ -197,10 +203,37 @@ class Client:
             JobStatus.from_payload(item) for item in report.payload.get("jobs", [])
         ]
 
+    def wait(
+        self,
+        op: str,
+        on_progress: Callable[[dict], None] | None = None,
+        **fields: Any,
+    ) -> Report:
+        """One waiting exchange — ``result``, or ``submit`` with
+        ``wait=True`` — returning its ``job-result`` envelope.
+
+        ``on_progress`` receives each of the job's progress event dicts
+        (``{"phase": "start", ...}`` and friends) as the daemon streams
+        them.  A wire ``timeout`` field bounds the whole wait; when it
+        expires the daemon answers a ``service-error``, raised here as
+        :class:`ServiceError`.
+        """
+        with contextlib.closing(self.stream(op, **fields)) as replies:
+            for report in replies:
+                if report.schema_name == JOB_PROGRESS_SCHEMA_NAME:
+                    if on_progress is not None:
+                        on_progress(JobProgress.from_payload(report.payload).event)
+                elif report.schema_name == JOB_RESULT_SCHEMA_NAME:
+                    return report
+        raise ServiceError(
+            f"the service at {self.address} ended the stream without a "
+            "job-result"
+        )
+
     def result(self, job_id: str, timeout: float | None = None) -> JobResult:
-        """Block (server-side) until the job finishes."""
+        """Wait (at most ``timeout`` seconds) until the job finishes."""
         return JobResult.from_payload(
-            self.call("result", job_id=job_id, timeout=timeout).payload
+            self.wait("result", job_id=job_id, timeout=timeout).payload
         )
 
     def cancel(self, job_id: str) -> JobStatus:
@@ -224,40 +257,19 @@ class Client:
         remote twin of :func:`repro.synthesize` (same suites, byte for
         byte).
 
-        With ``on_progress`` the exchange switches to the streaming
-        protocol: the callback receives each of the job's progress
-        event dicts (``{"phase": "start", ...}`` and friends) live as
-        the daemon emits them, and the final result is identical to the
-        blocking exchange's.
+        ``timeout`` bounds the whole wait; ``on_progress`` receives the
+        job's progress events live (see :meth:`wait`).
         """
         request = SynthesisRequest(model=model, options=options)
-        if on_progress is None:
-            report = self.call(
-                "submit",
-                request=request.to_payload(),
-                wait=True,
-                timeout=timeout,
-                client=client,
-            )
-            job = JobResult.from_payload(report.payload)
-        else:
-            job = None
-            for report in self.stream(
-                "submit",
-                request=request.to_payload(),
-                stream=True,
-                timeout=timeout,
-                client=client,
-            ):
-                if report.schema_name == JOB_PROGRESS_SCHEMA_NAME:
-                    on_progress(JobProgress.from_payload(report.payload).event)
-                elif report.schema_name == JOB_RESULT_SCHEMA_NAME:
-                    job = JobResult.from_payload(report.payload)
-            if job is None:
-                raise ServiceError(
-                    f"the service at {self.address} ended the stream "
-                    "without a job-result"
-                )
+        report = self.wait(
+            "submit",
+            on_progress,
+            request=request.to_payload(),
+            wait=True,
+            timeout=timeout,
+            client=client,
+        )
+        job = JobResult.from_payload(report.payload)
         if job.result is None:
             raise ServiceError(
                 f"job {job.job_id} finished {job.state}: "

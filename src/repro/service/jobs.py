@@ -1,8 +1,10 @@
 """The service job queue: submit, dedup, run, report.
 
 The :class:`JobManager` is the daemon's engine and is deliberately
-transport-free — plain threads, a :class:`queue.Queue`, and per-job
-:class:`threading.Event` completion latches.  The asyncio server in
+transport-free — one thread per worker, a :class:`queue.Queue`, and one
+condition variable that every progress event and every terminal state
+transition notifies, so :meth:`JobManager.wait_events` and
+:meth:`JobManager.result` are the same wait.  The asyncio server in
 :mod:`repro.service.server` is a thin wire adapter over it, and tests
 drive it directly without any sockets.
 
@@ -26,7 +28,6 @@ report`` and the OBS lints read it like any other trace directory.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import queue
 import threading
@@ -35,9 +36,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.core.synthesis import SynthesisResult
-from repro.obs import Tracer, merge_metrics
-from repro.obs.report import TOOL_NAME
-from repro.obs.trace import TRACE_SCHEMA_NAME, TRACE_SCHEMA_VERSION
+from repro.obs import Tracer, merge_metrics, write_trace_meta
 from repro.service.pool import ResidentWorker
 from repro.service.protocol import (
     JobResult,
@@ -47,7 +46,10 @@ from repro.service.protocol import (
     SynthesisRequest,
 )
 
-__all__ = ["Job", "JobManager"]
+__all__ = ["SHUTDOWN_ERROR", "Job", "JobManager"]
+
+#: the error of every job still queued or running when the manager closes
+SHUTDOWN_ERROR = "the service shut down before the job finished"
 
 
 @dataclass
@@ -69,7 +71,6 @@ class Job:
     error: str | None = None
     result: SynthesisResult | None = None
     metrics: dict[str, float] = field(default_factory=dict)
-    done: threading.Event = field(default_factory=threading.Event)
 
     @property
     def queue_seconds(self) -> float | None:
@@ -105,7 +106,9 @@ class JobManager:
             they add no queue entry.
         worker_factory: test hook — a callable ``(index) -> worker``
             returning anything with ``run(request, progress=...)`` and
-            ``as_metrics()``.
+            ``as_metrics()``; :meth:`close` also calls its optional
+            ``interrupt()`` (stop the running job, from another thread)
+            and ``close()``.
     """
 
     def __init__(
@@ -148,25 +151,7 @@ class JobManager:
         self._tracer: Tracer | None = None
         self._trace_id = itertools.count(1)
         if trace_dir is not None:
-            os.makedirs(trace_dir, exist_ok=True)
-            with open(
-                os.path.join(trace_dir, "meta.json"), "w", encoding="utf-8"
-            ) as handle:
-                json.dump(
-                    {
-                        "schema": {
-                            "name": TRACE_SCHEMA_NAME,
-                            "version": TRACE_SCHEMA_VERSION,
-                        },
-                        "tool": TOOL_NAME,
-                        "command": "serve",
-                        "workers": workers,
-                    },
-                    handle,
-                    indent=2,
-                    sort_keys=True,
-                )
-                handle.write("\n")
+            write_trace_meta(trace_dir, "serve", workers=workers)
             self._tracer = Tracer(os.path.join(trace_dir, "service.jsonl"))
         self._threads = [
             threading.Thread(
@@ -252,13 +237,12 @@ class JobManager:
 
         Returns ``None`` for unknown ids; raises :class:`TimeoutError`
         when the wait expires."""
-        with self._lock:
+        with self._events:
             job = self._jobs.get(job_id)
-        if job is None:
-            return None
-        if not job.done.wait(timeout):
-            raise TimeoutError(f"job {job_id} still {job.state.value}")
-        with self._lock:
+            if job is None:
+                return None
+            if not self._events.wait_for(lambda: job.state.terminal, timeout):
+                raise TimeoutError(f"job {job_id} still {job.state.value}")
             return JobResult(
                 job_id=job.job_id,
                 state=job.state.value,
@@ -272,29 +256,21 @@ class JobManager:
         """Block until job ``job_id`` has progress events past ``start``
         (or reaches a terminal state); return ``(new_events, terminal)``.
 
-        The streaming server polls this in a loop, advancing ``start``
-        by however many events each call returned; ``([], True)`` means
-        the stream is over.  Returns ``None`` for unknown ids and raises
-        :class:`TimeoutError` when ``timeout`` expires first.
+        The server's one wait calls this in a loop, advancing ``start``
+        by however many events each call returned; a job takes no events
+        once terminal, so ``terminal`` means the stream is complete.
+        Returns ``None`` for unknown ids and raises :class:`TimeoutError`
+        when ``timeout`` expires first.
         """
-        deadline = (
-            None if timeout is None else time.monotonic() + timeout
-        )
         with self._events:
             job = self._jobs.get(job_id)
             if job is None:
                 return None
-            while True:
-                if len(job.events) > start or job.state.terminal:
-                    return list(job.events[start:]), job.state.terminal
-                remaining = (
-                    None if deadline is None else deadline - time.monotonic()
-                )
-                if remaining is not None and remaining <= 0:
-                    raise TimeoutError(
-                        f"job {job_id} produced no new events in time"
-                    )
-                self._events.wait(remaining)
+            if not self._events.wait_for(
+                lambda: len(job.events) > start or job.state.terminal, timeout
+            ):
+                raise TimeoutError(f"job {job_id} still {job.state.value}")
+            return list(job.events[start:]), job.state.terminal
 
     def cancel(self, job_id: str) -> JobStatus | None:
         """Cancel a *queued* job; running and finished jobs are left
@@ -304,12 +280,9 @@ class JobManager:
             if job is None:
                 return None
             if job.state is JobState.QUEUED:
-                job.state = JobState.CANCELLED
-                job.error = "cancelled while queued"
-                job.finished = time.perf_counter()
-                self._active.pop(job.fingerprint, None)
-                job.done.set()
-                self._events.notify_all()
+                self._finish_locked(
+                    job, JobState.CANCELLED, "cancelled while queued"
+                )
             return self._status_locked(job)
 
     def metrics(self) -> dict[str, int | float]:
@@ -335,15 +308,35 @@ class JobManager:
         return {**base, **worker_totals}
 
     def close(self, timeout: float = 10.0) -> None:
-        """Stop accepting work, drain the worker threads, close the trace."""
+        """Stop accepting work, end every unfinished job, close the trace.
+
+        Queued jobs are cancelled and running ones fail, both with
+        :data:`SHUTDOWN_ERROR`, so every waiter gets its terminal answer
+        at once.  A worker whose thread is still busy has its child
+        interrupted (the abandoned job's run raises) before the thread
+        is joined; each worker is closed once its thread has ended."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
+            for job in self._jobs.values():
+                if job.state is JobState.QUEUED:
+                    self._finish_locked(job, JobState.CANCELLED, SHUTDOWN_ERROR)
+                elif job.state is JobState.RUNNING:
+                    self._finish_locked(job, JobState.FAILED, SHUTDOWN_ERROR)
         for _ in self._threads:
             self._queue.put(None)
-        for thread in self._threads:
-            thread.join(timeout)
+        deadline = time.monotonic() + timeout
+        for worker, thread in zip(self.workers, self._threads):
+            # an idle thread ends on its sentinel; a busy one runs a job
+            # ended above, and is interrupted until it ends (a job that
+            # started as the manager closed may spawn its child late)
+            interrupt = getattr(worker, "interrupt", None)
+            thread.join(0.05)
+            while thread.is_alive() and time.monotonic() < deadline:
+                if interrupt is not None:
+                    interrupt()
+                thread.join(0.05)
         for worker in self.workers:
             close_worker = getattr(worker, "close", None)
             if close_worker is not None:
@@ -360,6 +353,16 @@ class JobManager:
         self.close()
 
     # -- internals ----------------------------------------------------------
+
+    def _finish_locked(
+        self, job: Job, state: JobState, error: str | None = None
+    ) -> None:
+        """Move ``job`` to terminal ``state`` and wake every waiter."""
+        job.state = state
+        job.error = error
+        job.finished = time.perf_counter()
+        self._active.pop(job.fingerprint, None)
+        self._events.notify_all()
 
     def _status_locked(self, job: Job) -> JobStatus:
         position = None
@@ -399,8 +402,9 @@ class JobManager:
 
             def emit(event: dict, job: Job = job) -> None:
                 with self._events:
-                    job.events.append(dict(event))
-                    self._events.notify_all()
+                    if not job.state.terminal:  # not after close() ended it
+                        job.events.append(dict(event))
+                        self._events.notify_all()
 
             try:
                 result, metrics = worker.run(job.request, progress=emit)
@@ -408,19 +412,16 @@ class JobManager:
             except Exception as exc:  # noqa: BLE001 - job isolation boundary
                 result, metrics, error = None, {}, f"{type(exc).__name__}: {exc}"
             with self._lock:
-                job.finished = time.perf_counter()
+                if job.state.terminal:
+                    continue  # close() ended it while it ran
                 if error is None:
-                    job.state = JobState.DONE
                     job.result = result
                     job.metrics = dict(metrics)
-                else:
-                    job.state = JobState.FAILED
-                    job.error = error
-                self._active.pop(job.fingerprint, None)
+                self._finish_locked(
+                    job, JobState.DONE if error is None else JobState.FAILED, error
+                )
                 self.jobs_finished += 1
                 self._trace_job_locked(job)
-                job.done.set()
-                self._events.notify_all()
 
     def _trace_job_locked(self, job: Job) -> None:
         """Emit one complete begin/span pair (plus counters) per job.

@@ -183,6 +183,12 @@ class ResidentWorker:
             self.recycles += 1
         return result, dict(result.oracle_stats)
 
+    def interrupt(self) -> None:
+        """Stop the running job's child from another thread (daemon
+        shutdown): the job fails with
+        :class:`repro.exec.fanout.WorkerDied`."""
+        self._proc.interrupt()
+
     def close(self) -> None:
         """Shut the child down for good (daemon shutdown path)."""
         self._proc.close()

@@ -19,9 +19,9 @@ of three payload schemas:
     a :class:`JobProgress`: one streamed progress event — the structured
     dict a worker's ``progress_events`` callback emitted (enumeration /
     shard / oracle counters, always carrying a ``"phase"`` key) plus its
-    per-job sequence number.  Only sent on streaming submissions
-    (``"stream": true``), between the initial ``job-status`` and the
-    terminal ``job-result``.
+    per-job sequence number.  Sent by every wait on a job — a ``submit``
+    with ``"wait": true`` (after its ``job-status``) and a ``result`` —
+    from the job's first event up to its terminal ``job-result``.
 ``job-result`` (v1)
     a :class:`JobResult`: terminal state plus the full
     :class:`~repro.core.synthesis.SynthesisResult` — suites serialized

@@ -5,45 +5,57 @@ One asyncio server (``asyncio.start_unix_server`` for ``--socket``,
 each request line is a :class:`repro.obs.Report` envelope with the
 ``service-request`` schema and a payload of ``{"op": ..., ...}``; each
 response line is an envelope whose schema names the answer
-(``job-status``, ``job-result``, ``job-list``, ``service-metrics``,
-``service-info``, or ``service-error``).
+(``job-status``, ``job-progress``, ``job-result``, ``job-list``,
+``service-metrics``, ``service-info``, or ``service-error``).
 
 The server is a *thin adapter*: every operation maps 1:1 onto a
-:class:`repro.service.jobs.JobManager` method.  The only blocking call
-— ``result``'s wait-for-completion — is pushed onto the default
+:class:`repro.service.jobs.JobManager` method, and every op handler
+yields its answer as a sequence of envelopes that one loop writes.  The
+only blocking call — :meth:`~repro.service.jobs.JobManager.wait_events`,
+inside the one wait on a job (:func:`_wait`) — runs on the default
 executor via :func:`asyncio.to_thread`, so one slow job never stalls
 other clients' status polls.
 
-Operations (request payload → response schema):
+Operations (request payload → response envelopes):
 
-=========  =====================================  ====================
-op         extra payload fields                   response schema
-=========  =====================================  ====================
-submit     ``request`` (synthesis-request          job-status
-           payload), optional ``wait`` (bool),     (job-result if wait)
-           ``stream`` (bool), ``client`` (str)
+=========  =====================================  ======================
+op         extra payload fields                   response envelopes
+=========  =====================================  ======================
+submit     ``request`` (synthesis-request          job-status; with
+           payload), optional ``client`` (str),    ``wait`` then
+           ``wait`` (bool), ``timeout`` (s)        job-progress...,
+                                                   job-result
 status     ``job_id``                              job-status
-result     ``job_id``, optional ``timeout``        job-result
+result     ``job_id``, optional ``timeout`` (s)    job-progress...,
+                                                   job-result
 cancel     ``job_id``                              job-status
 jobs       —                                       job-list
 metrics    —                                       service-metrics
 ping       —                                       service-info
 shutdown   —                                       service-info
-=========  =====================================  ====================
+=========  =====================================  ======================
 
-A submit with ``"stream": true`` is the one multi-envelope exchange:
-the response is a *sequence* of lines on the same connection — one
-``job-status`` (with ``deduped``), zero or more ``job-progress`` events
-as the job runs, and a terminal ``job-result`` — so a client renders
-live progress without polling.  ``client`` names the submitter for the
-per-client queue quota; an over-quota submission answers with a
-``service-error`` envelope whose ``code`` is ``"quota-exceeded"``.
+Waiting on a job is one exchange, whichever op asks for it: the job's
+``job-progress`` events from its first one, then its ``job-result``, all
+on the asking connection — a client renders live progress without
+polling, and ``result`` on a finished job replays its recorded events.
+``timeout`` bounds the whole wait, measured once by the server; when it
+expires the exchange ends with a ``service-error``.  ``client`` names the
+submitter for the per-client queue quota; an over-quota submission
+answers with a ``service-error`` envelope whose ``code`` is
+``"quota-exceeded"``.
+
+Shutdown closes the manager first: queued jobs are cancelled and
+running ones fail, so every waiting exchange ends with a terminal
+``job-result`` before the server hangs up.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, AsyncIterator, Callable
 
 from repro.obs import Report, load_report
@@ -67,115 +79,98 @@ __all__ = ["handle_request", "serve", "serve_async"]
 _LINE_LIMIT = 1 << 20
 
 
-async def _op_submit(manager: JobManager, payload: dict[str, Any]) -> Report:
+async def _wait(
+    manager: JobManager, job_id: str, timeout: float | None
+) -> AsyncIterator[Report]:
+    """The one wait on a job: its progress events, then its result.
+
+    ``timeout`` (seconds, or None for no limit) bounds the whole wait;
+    it expires as a :class:`TimeoutError`.
+    """
+    deadline = None if timeout is None else time.monotonic() + float(timeout)
+    seq, terminal = 0, False
+    while not terminal:
+        remaining = (
+            None if deadline is None else max(0.0, deadline - time.monotonic())
+        )
+        waited = await asyncio.to_thread(
+            manager.wait_events, job_id, seq, remaining
+        )
+        if waited is None:
+            raise ValueError(f"unknown job {job_id!r}")
+        events, terminal = waited
+        for event in events:
+            # wait_events cannot time out on a job whose events never pause
+            if not terminal and deadline is not None and time.monotonic() >= deadline:
+                raise TimeoutError(f"job {job_id} still running")
+            yield JobProgress(job_id=job_id, seq=seq, event=event).to_report()
+            seq += 1
+    result = manager.result(job_id)  # terminal: answers at once
+    assert result is not None
+    yield result.to_report()
+
+
+async def _op_submit(
+    manager: JobManager, payload: dict[str, Any]
+) -> AsyncIterator[Report]:
     raw = payload.get("request")
     if not isinstance(raw, dict):
-        return error_envelope("submit needs a 'request' payload")
+        raise ValueError("submit needs a 'request' payload")
     request = SynthesisRequest.from_payload(raw)
     job, deduped = manager.submit(
         request, client=str(payload.get("client", "anonymous"))
     )
-    if payload.get("wait"):
-        result = await asyncio.to_thread(
-            manager.result, job.job_id, payload.get("timeout")
-        )
-        assert result is not None  # the id came from this submit
-        return result.to_report()
-    status = manager.status(job.job_id)
-    assert status is not None
-    report = status.to_report()
-    report.payload["deduped"] = deduped
-    return report
-
-
-async def _op_submit_stream(
-    manager: JobManager, payload: dict[str, Any]
-) -> AsyncIterator[Report]:
-    """The streaming submit exchange: status, progress events, result."""
-    raw = payload.get("request")
-    if not isinstance(raw, dict):
-        yield error_envelope("submit needs a 'request' payload")
-        return
-    try:
-        request = SynthesisRequest.from_payload(raw)
-        job, deduped = manager.submit(
-            request, client=str(payload.get("client", "anonymous"))
-        )
-    except QuotaExceededError as exc:
-        yield error_envelope(str(exc), code=exc.code)
-        return
-    except (ValueError, TypeError, RuntimeError) as exc:
-        yield error_envelope(str(exc))
-        return
     status = manager.status(job.job_id)
     assert status is not None
     head = status.to_report()
     head.payload["deduped"] = deduped
     yield head
-    start = 0
-    timeout = payload.get("timeout")
-    while True:
-        try:
-            waited = await asyncio.to_thread(
-                manager.wait_events, job.job_id, start, timeout
-            )
-        except TimeoutError as exc:
-            yield error_envelope(str(exc))
-            return
-        assert waited is not None  # the id came from this submit
-        events, terminal = waited
-        for event in events:
-            yield JobProgress(
-                job_id=job.job_id, seq=start, event=event
-            ).to_report()
-            start += 1
-        if terminal and not events:
-            break
-    result = await asyncio.to_thread(manager.result, job.job_id)
-    assert result is not None
-    yield result.to_report()
+    if payload.get("wait"):
+        async for report in _wait(manager, job.job_id, payload.get("timeout")):
+            yield report
 
 
-async def _op_status(manager: JobManager, payload: dict[str, Any]) -> Report:
+async def _op_status(
+    manager: JobManager, payload: dict[str, Any]
+) -> AsyncIterator[Report]:
     status = manager.status(str(payload.get("job_id")))
     if status is None:
-        return error_envelope(f"unknown job {payload.get('job_id')!r}")
-    return status.to_report()
+        raise ValueError(f"unknown job {payload.get('job_id')!r}")
+    yield status.to_report()
 
 
-async def _op_result(manager: JobManager, payload: dict[str, Any]) -> Report:
-    job_id = str(payload.get("job_id"))
-    try:
-        result = await asyncio.to_thread(
-            manager.result, job_id, payload.get("timeout")
-        )
-    except TimeoutError as exc:
-        return error_envelope(str(exc))
-    if result is None:
-        return error_envelope(f"unknown job {job_id!r}")
-    return result.to_report()
+def _op_result(
+    manager: JobManager, payload: dict[str, Any]
+) -> AsyncIterator[Report]:
+    return _wait(manager, str(payload.get("job_id")), payload.get("timeout"))
 
 
-async def _op_cancel(manager: JobManager, payload: dict[str, Any]) -> Report:
+async def _op_cancel(
+    manager: JobManager, payload: dict[str, Any]
+) -> AsyncIterator[Report]:
     status = manager.cancel(str(payload.get("job_id")))
     if status is None:
-        return error_envelope(f"unknown job {payload.get('job_id')!r}")
-    return status.to_report()
+        raise ValueError(f"unknown job {payload.get('job_id')!r}")
+    yield status.to_report()
 
 
-async def _op_jobs(manager: JobManager, payload: dict[str, Any]) -> Report:
-    return envelope(
+async def _op_jobs(
+    manager: JobManager, payload: dict[str, Any]
+) -> AsyncIterator[Report]:
+    yield envelope(
         JOB_LIST_SCHEMA_NAME,
         1,
         {"jobs": [status.to_payload() for status in manager.jobs()]},
     )
 
 
-async def _op_metrics(manager: JobManager, payload: dict[str, Any]) -> Report:
-    return envelope(SERVICE_METRICS_SCHEMA_NAME, 1, {"metrics": manager.metrics()})
+async def _op_metrics(
+    manager: JobManager, payload: dict[str, Any]
+) -> AsyncIterator[Report]:
+    yield envelope(SERVICE_METRICS_SCHEMA_NAME, 1, {"metrics": manager.metrics()})
 
 
-_OPS: dict[str, Callable[..., Any]] = {
+_OPS: dict[str, Callable[..., AsyncIterator[Report]]] = {
     "submit": _op_submit,
     "status": _op_status,
     "result": _op_result,
@@ -189,64 +184,57 @@ async def handle_request(
     manager: JobManager,
     line: bytes,
     stop: asyncio.Event | None = None,
-) -> Report:
-    """Answer one wire request line with one response envelope.
+) -> AsyncIterator[Report]:
+    """Answer one wire request line with its response envelopes.
 
     Never raises: malformed lines, unknown ops, and operation failures
-    all come back as ``service-error`` envelopes, so one bad client
-    cannot take a connection handler down.
+    (an unknown job, an expired wait, a quota rejection, a closed
+    manager) all end the answer with a ``service-error`` envelope, so
+    one bad client cannot take a connection handler down.
     """
     try:
         document = json.loads(line.decode("utf-8"))
         report = load_report(document)
     except (UnicodeDecodeError, ValueError) as exc:
-        return error_envelope(f"bad request envelope: {exc}")
+        yield error_envelope(f"bad request envelope: {exc}")
+        return
     if report.schema_name != WIRE_SCHEMA_NAME:
-        return error_envelope(
+        yield error_envelope(
             f"expected a {WIRE_SCHEMA_NAME!r} envelope, got "
             f"{report.schema_name!r}"
         )
+        return
     payload = report.payload
     op = payload.get("op")
     if op == "ping":
-        return envelope(SERVICE_INFO_SCHEMA_NAME, 1, {"ok": True, "op": "ping"})
+        yield envelope(SERVICE_INFO_SCHEMA_NAME, 1, {"ok": True, "op": "ping"})
+        return
     if op == "shutdown":
         if stop is not None:
             stop.set()
-        return envelope(
-            SERVICE_INFO_SCHEMA_NAME, 1, {"ok": True, "op": "shutdown"}
-        )
+        yield envelope(SERVICE_INFO_SCHEMA_NAME, 1, {"ok": True, "op": "shutdown"})
+        return
     handler = _OPS.get(op)
     if handler is None:
         known = ", ".join(sorted([*_OPS, "ping", "shutdown"]))
-        return error_envelope(f"unknown op {op!r} (known ops: {known})")
+        yield error_envelope(f"unknown op {op!r} (known ops: {known})")
+        return
     try:
-        return await handler(manager, payload)
-    except (ValueError, TypeError) as exc:
-        return error_envelope(str(exc))
+        async for response in handler(manager, payload):
+            yield response
     except QuotaExceededError as exc:
-        return error_envelope(str(exc), code=exc.code)
-    except RuntimeError as exc:  # manager closed mid-shutdown
-        return error_envelope(str(exc))
+        yield error_envelope(str(exc), code=exc.code)
+    # TimeoutError: an expired wait; OverflowError: a timeout too large to
+    # wait on; RuntimeError: manager closed mid-shutdown
+    except (ValueError, TypeError, TimeoutError, OverflowError, RuntimeError) as exc:
+        yield error_envelope(str(exc))
 
 
-def _stream_payload(line: bytes) -> dict[str, Any] | None:
-    """The payload of a well-formed streaming-submit line, else None.
-
-    Anything that is not exactly a streaming submit (bad JSON, wrong
-    schema, other ops) falls through to :func:`handle_request`, which
-    owns all the error reporting.
-    """
-    try:
-        report = load_report(json.loads(line.decode("utf-8")))
-    except (UnicodeDecodeError, ValueError):
-        return None
-    if report.schema_name != WIRE_SCHEMA_NAME:
-        return None
-    payload = report.payload
-    if payload.get("op") == "submit" and payload.get("stream"):
-        return payload
-    return None
+async def _send(writer: asyncio.StreamWriter, report: Report) -> None:
+    writer.write(
+        json.dumps(report.to_json_dict(), sort_keys=True).encode("utf-8") + b"\n"
+    )
+    await writer.drain()
 
 
 async def serve_async(
@@ -268,51 +256,32 @@ async def serve_async(
     if stop is None:
         stop = asyncio.Event()
 
-    #: every open connection's handler task and its writer
-    handlers: dict[asyncio.Task, asyncio.StreamWriter] = {}
+    #: every open connection's handler task
+    handlers: set[asyncio.Task] = set()
+    #: the writer of every handler waiting for its client's next request
+    idle: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     async def on_connect(
         reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         task = asyncio.current_task()
-        if task is not None:
-            handlers[task] = writer
-            task.add_done_callback(lambda done: handlers.pop(done, None))
+        assert task is not None
+        handlers.add(task)
+        task.add_done_callback(handlers.discard)
         try:
-            while True:
+            while not stop.is_set():
+                idle[task] = writer
                 try:
                     line = await reader.readline()
                 except (asyncio.LimitOverrunError, ValueError):
-                    writer.write(
-                        json.dumps(
-                            error_envelope("request line too long").to_json_dict()
-                        ).encode() + b"\n"
-                    )
-                    await writer.drain()
+                    await _send(writer, error_envelope("request line too long"))
                     break
+                finally:
+                    idle.pop(task, None)
                 if not line.strip():
                     break  # EOF or blank line = polite hangup
-                streaming = _stream_payload(line)
-                if streaming is not None:
-                    async for response in _op_submit_stream(manager, streaming):
-                        writer.write(
-                            json.dumps(
-                                response.to_json_dict(), sort_keys=True
-                            ).encode("utf-8")
-                            + b"\n"
-                        )
-                        await writer.drain()
-                    continue
-                response = await handle_request(manager, line, stop)
-                writer.write(
-                    json.dumps(
-                        response.to_json_dict(), sort_keys=True
-                    ).encode("utf-8")
-                    + b"\n"
-                )
-                await writer.drain()
-                if stop.is_set():
-                    break  # this exchange asked for shutdown
+                async for response in handle_request(manager, line, stop):
+                    await _send(writer, response)
         except ConnectionError:
             pass  # client vanished mid-reply; nothing to clean up
         finally:
@@ -336,18 +305,28 @@ async def serve_async(
     async with server:
         if ready is not None:
             ready(address)
-        await stop.wait()
-        # Hang up on every client, so an idle handler reads EOF and ends
-        # on its own: a cancelled one makes asyncio (3.10, 3.11) log a
-        # spurious CancelledError traceback.  A handler that is still
-        # waiting on a job after a second is cancelled — the exiting
-        # server cannot answer it anyway.
-        for writer in handlers.values():
-            writer.close()
-        if handlers:
-            await asyncio.wait(list(handlers), timeout=1.0)
-        for task in list(handlers):
-            task.cancel()
+        try:
+            await stop.wait()
+        finally:
+            # End every job before hanging up, so each waiting exchange
+            # finishes with a terminal job-result.  The close runs on its
+            # own thread: the default executor may be full of waits that
+            # only the close can end.
+            with ThreadPoolExecutor(1) as closer:
+                await asyncio.get_running_loop().run_in_executor(
+                    closer, manager.close
+                )
+            # Hang up on idle clients, so their handlers read EOF and end
+            # on their own: a cancelled one makes asyncio (3.10, 3.11)
+            # log a spurious CancelledError traceback.  Busy handlers end
+            # after their exchange; any still running after the grace
+            # period is cancelled.
+            for writer in idle.values():
+                writer.close()
+            if handlers:
+                await asyncio.wait(list(handlers), timeout=1.0)
+            for task in list(handlers):
+                task.cancel()
 
 
 def serve(

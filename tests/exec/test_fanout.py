@@ -5,11 +5,12 @@ import signal
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
 import repro
-from repro.exec.fanout import ResidentTask, run_fanout
+from repro.exec.fanout import ResidentProcess, ResidentTask, run_fanout
 
 
 # Module-level so the children can pickle them by reference under both
@@ -80,6 +81,28 @@ def _setup_raises(payload):
     raise KeyError("no model named 'permissive'")
 
 
+def _identity(payload):
+    return payload
+
+
+def _nap(directory, shard_index, emit):
+    with open(os.path.join(directory, f"{os.getpid()}.pid"), "w"):
+        pass
+    time.sleep(60)
+
+
+def _fan_out_naps(state, directory, emit):
+    return run_fanout(ResidentTask(_identity, _nap, directory), 2, jobs=2)
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 def run_script(body: str, timeout: float = 60.0) -> subprocess.CompletedProcess:
     """Run ``body`` in a fresh interpreter, so a hang fails the test
     (``TimeoutExpired``) instead of wedging the whole run."""
@@ -137,3 +160,21 @@ class TestChildFailures:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("KeyError KeyError: ")
         assert "permissive" in proc.stdout
+
+    def test_terminated_child_stops_the_children_it_fanned_out_to(
+        self, tmp_path
+    ):
+        proc = ResidentProcess(ResidentTask(_no_state, _fan_out_naps, None))
+        try:
+            proc.send(str(tmp_path))
+            deadline = time.monotonic() + 30
+            while len(list(tmp_path.glob("*.pid"))) < 2:
+                assert time.monotonic() < deadline, "the fan-out never started"
+                time.sleep(0.05)
+        finally:
+            proc.close()  # busy: terminates the child mid-job
+        deadline = time.monotonic() + 5
+        for path in tmp_path.glob("*.pid"):
+            while _alive(int(path.stem)):
+                assert time.monotonic() < deadline, "a grandchild outlived it"
+                time.sleep(0.05)

@@ -21,6 +21,7 @@ from repro.core.synthesis import (
 )
 from repro.litmus.catalog import CATALOG
 from repro.models.registry import get_model
+from repro.obs import derive_rates
 from repro.relational.solve import ModelFinder, compile_snapshot
 
 GRID = [("sc", 3), ("tso", 3), ("tso", 4), ("scc", 3)]
@@ -193,19 +194,20 @@ class TestCNFCache:
         oracle.analyze(b)  # evicts a's session (capacity 1)
         oracle._analysis.clear()  # force a fresh session for a
         oracle.analyze(a)
-        stats = oracle.cache_stats()
+        stats = oracle.as_metrics()
         assert stats["compile_hits"] >= 1
         assert stats["sessions"] >= 3
+        assert derive_rates(stats)["compile_hit_rate"] > 0
 
     def test_disk_layer_shared_across_oracles(self, tmp_path):
         cache_dir = str(tmp_path / "cnf")
         first = AlloyOracle("tso", cnf_cache_dir=cache_dir)
         first.analyze(CATALOG["MP"].test)
-        assert first.cache_stats()["compile_stores"] >= 1
+        assert first.as_metrics()["compile_stores"] >= 1
 
         second = AlloyOracle("tso", cnf_cache_dir=cache_dir)
         second.analyze(CATALOG["MP"].test)
-        stats = second.cache_stats()
+        stats = second.as_metrics()
         assert stats["compile_disk_hits"] >= 1
         assert second.analyze(CATALOG["MP"].test) == first.analyze(
             CATALOG["MP"].test
@@ -219,7 +221,7 @@ class TestCNFCache:
         tso.analyze(test)
         sc_analysis = sc.analyze(test)
         # sc must not have loaded tso's compiled axioms
-        assert sc.cache_stats()["compile_disk_hits"] == 0
+        assert sc.as_metrics()["compile_disk_hits"] == 0
         assert sc_analysis == AlloyOracle("sc").analyze(test)
 
     def test_cache_key_distinguishes_structure(self):
@@ -234,7 +236,7 @@ class TestCNFCache:
         key = cache.key(CATALOG["MP"].test, False)
         (tmp_path / f"{key}.json").write_text("{not json")
         assert cache.get(key) is None
-        assert cache.stats()["compile_misses"] == 1
+        assert cache.as_metrics()["compile_misses"] == 1
 
 
 class TestStatsSurface:

@@ -1,5 +1,8 @@
-"""Job queue lifecycle: submit → status → result, dedup, cancel, recycle."""
+"""Job queue lifecycle: submit → status → result, dedup, cancel, recycle,
+shutdown."""
 
+import multiprocessing
+import sys
 import threading
 import time
 
@@ -8,7 +11,7 @@ import pytest
 from repro.core.enumerator import EnumerationConfig
 from repro.core.synthesis import OracleSpec, SynthesisOptions, synthesize
 from repro.models.registry import get_model
-from repro.service.jobs import JobManager
+from repro.service.jobs import SHUTDOWN_ERROR, JobManager
 from repro.service.pool import ResidentWorker
 from repro.service.protocol import JobState, SynthesisRequest
 
@@ -351,3 +354,87 @@ class TestMetricsShape:
         finally:
             worker.release.set()
             manager.close()
+
+
+class EmittingStub:
+    """Stub worker emitting progress events as fast as it can until the
+    closing manager interrupts it."""
+
+    def __init__(self, index: int = 0):
+        self.index = index
+        self.stop = threading.Event()
+
+    def run(self, request, progress=None):
+        tick = 0
+        while not self.stop.is_set():
+            progress({"phase": "tick", "n": tick})
+            tick += 1
+        raise RuntimeError("stopped")
+
+    def interrupt(self):
+        self.stop.set()
+
+    def as_metrics(self):
+        return {}
+
+
+class TestShutdown:
+    def test_close_under_load_ends_every_wait(self):
+        # more workers than cores, a short switch interval, and waiters
+        # racing the close: every wait must end with the job terminal
+        # and every event it took, none appended after
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            manager = JobManager(workers=4, worker_factory=EmittingStub)
+            jobs = [manager.submit(tiny_request(bound=b))[0] for b in range(2, 10)]
+            seen: dict[str, tuple] = {}
+
+            def follow(job_id: str) -> None:
+                seq, terminal = 0, False
+                while not terminal:
+                    events, terminal = manager.wait_events(job_id, seq, timeout=30)
+                    seq += len(events)
+                seen[job_id] = (seq, manager.result(job_id, timeout=0))
+
+            followers = [
+                threading.Thread(target=follow, args=(job.job_id,))
+                for job in jobs
+            ]
+            for thread in followers:
+                thread.start()
+            time.sleep(0.2)
+            manager.close()
+            for thread in followers:
+                thread.join(10)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        states = sorted(seen[job.job_id][1].state for job in jobs)
+        assert states == ["cancelled"] * 4 + ["failed"] * 4
+        for job in jobs:
+            seq, result = seen[job.job_id]
+            assert result.error == SHUTDOWN_ERROR
+            assert seq == manager.status(job.job_id).progress_events
+            assert (seq > 0) == (result.state == "failed")
+
+    def test_close_as_a_job_starts_leaves_no_child(self):
+        from tests.service.test_pool_process import KillableProcessWorker
+
+        # the job's thread may spawn its worker's child after close()
+        # ended the job; close() must still stop it
+        before = set(multiprocessing.active_children())
+        manager = JobManager(workers=1, worker_factory=KillableProcessWorker)
+        # bound 2 parks the child: only close() can end this job
+        job, _ = manager.submit(tiny_request(bound=2))
+        deadline = time.monotonic() + 10
+        while manager.status(job.job_id).state == "queued":
+            assert time.monotonic() < deadline, "the job never started"
+        manager.close()
+        assert manager.result(job.job_id, timeout=0).error == SHUTDOWN_ERROR
+        leaked = [
+            child
+            for child in multiprocessing.active_children()
+            if child not in before and child.is_alive()
+        ]
+        assert leaked == []

@@ -249,13 +249,13 @@ class TestClientQuota:
             with pytest.raises(ServiceError) as excinfo:
                 client.submit(tiny_request(bound=4), client="alice")
             assert excinfo.value.code == "quota-exceeded"
-            # the streamed exchange reports the same typed error
+            # the waiting exchange reports the same typed error
             with pytest.raises(ServiceError) as excinfo:
                 list(
                     client.stream(
                         "submit",
                         request=tiny_request(bound=5).to_payload(),
-                        stream=True,
+                        wait=True,
                         client="alice",
                     )
                 )
@@ -319,6 +319,9 @@ class KillableProcessWorker:
 
     def as_metrics(self):
         return {"worker_jobs": 0}
+
+    def interrupt(self):
+        self._proc.interrupt()
 
     def close(self):
         self._proc.close()

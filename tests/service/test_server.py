@@ -12,16 +12,14 @@ from repro.core.synthesis import OracleSpec, SynthesisOptions, synthesize
 from repro.models.registry import get_model
 from repro.obs import load_report
 from repro.service.client import Client, ServiceError, parse_address
-from repro.service.jobs import JobManager
-from repro.service.protocol import SynthesisRequest
+from repro.service.jobs import SHUTDOWN_ERROR, JobManager
+from repro.service.protocol import JobProgress, JobResult, SynthesisRequest
 from repro.service.server import serve_async
 
 
-@pytest.fixture
-def daemon(tmp_path):
-    """A running daemon on a unix socket; yields (client, manager)."""
-    socket_path = str(tmp_path / "repro.sock")
-    manager = JobManager(workers=1, cnf_cache_dir=str(tmp_path / "cnf"))
+def start_daemon(manager, socket_path):
+    """Serve ``manager`` on a unix socket from a background thread;
+    returns ``(client, serve_thread)``."""
     ready = threading.Event()
     thread = threading.Thread(
         target=lambda: asyncio.run(
@@ -35,7 +33,14 @@ def daemon(tmp_path):
     )
     thread.start()
     assert ready.wait(10), "daemon never came up"
-    client = Client(socket_path, timeout=60)
+    return Client(socket_path, timeout=60), thread
+
+
+@pytest.fixture
+def daemon(tmp_path):
+    """A running daemon on a unix socket; yields (client, manager)."""
+    manager = JobManager(workers=1, cnf_cache_dir=str(tmp_path / "cnf"))
+    client, thread = start_daemon(manager, str(tmp_path / "repro.sock"))
     yield client, manager
     try:
         client.shutdown()
@@ -81,6 +86,35 @@ class TestWireProtocol:
         listed = client.jobs()
         assert [s.job_id for s in listed] == [status.job_id]
 
+    def test_waiting_submit_streams_status_progress_result(self, daemon):
+        client, _ = daemon
+        request = SynthesisRequest("tso", tiny_options())
+        schemas = [
+            report.schema_name
+            for report in client.stream(
+                "submit", request=request.to_payload(), wait=True
+            )
+        ]
+        assert schemas[0] == "job-status"
+        assert schemas[-1] == "job-result"
+        assert len(schemas) >= 3
+        assert set(schemas[1:-1]) == {"job-progress"}
+
+    def test_result_replays_recorded_progress_then_result(self, daemon):
+        client, manager = daemon
+        status, _ = client.submit(SynthesisRequest("tso", tiny_options()))
+        assert manager.result(status.job_id, timeout=60).state == "done"
+        reports = list(client.stream("result", job_id=status.job_id))
+        assert [r.schema_name for r in reports[:-1]] == ["job-progress"] * (
+            len(reports) - 1
+        )
+        assert reports[-1].schema_name == "job-result"
+        progress = [JobProgress.from_payload(r.payload) for r in reports[:-1]]
+        recorded = manager.status(status.job_id).progress_events
+        assert [p.seq for p in progress] == list(range(recorded))
+        assert progress[0].event["phase"] == "start"
+        assert progress[-1].event["phase"] == "finish"
+
     def test_synthesize_round_trip_byte_identical(self, daemon):
         client, _ = daemon
         options = tiny_options(
@@ -122,6 +156,79 @@ class TestWireProtocol:
         client = Client(str(tmp_path / "nothing.sock"), timeout=1)
         with pytest.raises(ServiceError, match="cannot reach"):
             client.ping()
+
+
+class TickingWorker:
+    """Stub worker emitting a progress event every 50 ms for up to 10 s
+    (or until released), then failing: a job whose stream never goes
+    quiet."""
+
+    index = 0
+
+    def __init__(self):
+        self.release = threading.Event()
+
+    def run(self, request, progress=None):
+        for tick in range(200):
+            if self.release.wait(0.05):
+                break
+            progress({"phase": "tick", "n": tick})
+        raise RuntimeError("released")
+
+    def as_metrics(self):
+        return {}
+
+
+@pytest.fixture
+def ticking_daemon(tmp_path):
+    """A daemon whose one worker is a :class:`TickingWorker`; yields the
+    client."""
+    worker = TickingWorker()
+    manager = JobManager(workers=1, worker_factory=lambda i: worker)
+    client, thread = start_daemon(manager, str(tmp_path / "repro.sock"))
+    yield client
+    worker.release.set()
+    client.shutdown()
+    thread.join(5)
+    manager.close()
+
+
+class TestWaitDeadline:
+    def test_timeout_bounds_the_whole_wait(self, ticking_daemon):
+        client = ticking_daemon
+        # without and with a progress callback: the same deadline
+        for on_progress in (None, [].append):
+            started = time.monotonic()
+            with pytest.raises(ServiceError, match="still running"):
+                client.synthesize(
+                    "tso", tiny_options(), timeout=0.5, on_progress=on_progress
+                )
+            assert time.monotonic() - started < 2.0
+
+    def test_deadline_holds_when_events_never_pause(self):
+        from repro.service.server import _wait
+
+        class EndlessManager:
+            # every wait finds one more event at once, so the wait's own
+            # timeout never expires
+            def wait_events(self, job_id, start, timeout):
+                return [{"phase": "tick", "n": start}], False
+
+        async def drain() -> None:
+            async for _ in _wait(EndlessManager(), "job-0001", 0.2):
+                pass
+
+        started = time.monotonic()
+        with pytest.raises(TimeoutError, match="still running"):
+            asyncio.run(asyncio.wait_for(drain(), 5))
+        assert time.monotonic() - started < 2.0
+
+    def test_timeout_too_large_to_wait_on_is_refused(self, ticking_daemon):
+        client = ticking_daemon
+        status, _ = client.submit(SynthesisRequest("tso", tiny_options()))
+        with pytest.raises(ServiceError, match="out of range"):
+            client.result(status.job_id, timeout=float("inf"))
+        assert client.ping()
 
 
 class TestRawWire:
@@ -227,6 +334,50 @@ class TestShutdown:
                 time.sleep(0.2)  # let the server's loop finish exiting
         finally:
             idle.close()
+        assert [
+            record.getMessage()
+            for record in caplog.records
+            if record.name == "asyncio" and record.levelno >= logging.ERROR
+        ] == []
+
+    def test_shutdown_ends_a_waited_on_running_job(self, tmp_path, caplog):
+        import logging
+
+        from tests.service.test_pool_process import KillableProcessWorker
+
+        worker = KillableProcessWorker()
+        manager = JobManager(workers=1, worker_factory=lambda i: worker)
+        client, thread = start_daemon(manager, str(tmp_path / "repro.sock"))
+        # bound 2 parks the worker's child in a 60 s sleep
+        status, _ = client.submit(SynthesisRequest("tso", tiny_options(bound=2)))
+        attached = threading.Event()
+        waited: list[JobResult] = []
+
+        def wait() -> None:
+            # the replayed start event proves the wait is attached
+            report = client.wait(
+                "result", lambda event: attached.set(), job_id=status.job_id
+            )
+            waited.append(JobResult.from_payload(report.payload))
+
+        waiter = threading.Thread(target=wait, daemon=True)
+        try:
+            with caplog.at_level(logging.ERROR, logger="asyncio"):
+                waiter.start()
+                assert attached.wait(30), "the wait never attached"
+                started = time.monotonic()
+                assert client.shutdown()
+                thread.join(5)
+                assert not thread.is_alive(), "daemon outlived the shutdown"
+                assert time.monotonic() - started < 5.0
+                waiter.join(5)
+                assert not waiter.is_alive()
+        finally:
+            manager.close()
+        assert len(waited) == 1
+        assert waited[0].state == "failed"
+        assert waited[0].error == SHUTDOWN_ERROR
+        assert worker.pid is None  # the parked child was stopped
         assert [
             record.getMessage()
             for record in caplog.records

@@ -26,7 +26,8 @@ class TestCLI:
         assert "thread" in capsys.readouterr().out
 
     def test_show_unknown(self, capsys):
-        assert main(["show", "--name", "nope"]) == 1
+        assert main(["show", "--name", "nope"]) == 2
+        assert "error: unknown test 'nope'" in capsys.readouterr().err
 
     def test_synthesize(self, capsys, tmp_path):
         out_path = tmp_path / "suite.json"
