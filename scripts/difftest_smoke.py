@@ -9,6 +9,8 @@ each campaign's own envelope), and fails when:
 * a stock-model discrepancy survives (the two oracles disagreed), or
 * a corpus replay entry went stale, or
 * an injected mutant survives (the harness is blind to that bug), or
+* an injected ``empty:fr`` skipped no test (``mutant_skips`` is 0: the
+  static ``fr`` emptiness check never fired), or
 * a shrunken kill reproducer is larger than the test that found it, or
 * the ``--jobs N`` report is not byte-identical to the sequential one.
 
@@ -36,7 +38,7 @@ JOBS = int(os.environ.get("DIFFTEST_SMOKE_JOBS", "2"))
 OUT = os.environ.get("DIFFTEST_SMOKE_OUT", "BENCH_difftest.json")
 
 CAMPAIGNS = (
-    ("tso", ("drop:sc_per_loc",)),
+    ("tso", ("drop:sc_per_loc", "empty:fr")),
     ("sc", ("drop:sequential_consistency",)),
 )
 
@@ -54,6 +56,8 @@ def check(model: str, entry: dict) -> list[str]:
         failures.append(f"{model}: stale corpus entries on replay")
     for tag in report["surviving_mutants"]:
         failures.append(f"{model}: injected mutant {tag} survived")
+    if "empty:fr" in report["mutants"] and not report["mutant_skips"]:
+        failures.append(f"{model}: empty:fr skipped no test (mutant_skips 0)")
     for tag, kill in report["mutant_kills"].items():
         if kill["events"] > kill["original_events"]:
             failures.append(
@@ -82,6 +86,7 @@ def main() -> int:
             f"difftest smoke: model={model} seed={SEED} budget={BUDGET} "
             f"jobs={JOBS} wall={measurement['wall_seconds']:.2f}s "
             f"kills={sorted(report['mutant_kills'])} "
+            f"mutant_skips={report['mutant_skips']} "
             f"clean={report['clean']}"
         )
     document = Report(

@@ -99,7 +99,7 @@ from repro.service import (
     SynthesisRequest,
 )
 
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 __all__ = [
     "__version__",

@@ -1,6 +1,7 @@
 """Static analysis / lint subsystem.
 
-Three pass families over the synthesis stack's inputs:
+Three registered pass families over the synthesis stack's inputs, plus
+two collection-level checkers:
 
 * **model** — memory-model axioms (:mod:`repro.analysis.model_lint`);
 * **litmus** — litmus tests and outcomes (:mod:`repro.analysis.litmus_lint`);
@@ -11,15 +12,16 @@ Three pass families over the synthesis stack's inputs:
 * **obs** — :mod:`repro.obs` trace directories
   (:mod:`repro.analysis.obs_lint`).
 
-The dataflow layer (:mod:`repro.analysis.flow`) contributes semantic
-passes to the model and litmus families (``MDL01x``/``LIT01x``).
+The semantic checks that need no solver (``MDL010``–``MDL012``,
+``LIT011`` and :func:`fr_statically_empty`) read the relational
+translator's constant folding or the declared Kodkod bounds, so the
+lints judge exactly the formulas the relational oracle solves.
 
 Importing this package registers every pass.  Entry point:
 ``lint_registry`` (the registry-wide self-check behind ``repro lint``).
 """
 
 from repro.analysis import (  # noqa: F401  (imports register the passes)
-    flow,
     litmus_lint,
     model_lint,
     pipeline_lint,
@@ -35,13 +37,12 @@ from repro.analysis.diagnostics import (
     render_json,
     render_text,
 )
-from repro.analysis.flow import fr_statically_empty
 from repro.analysis.difftest_lint import (
     lint_corpus,
     lint_mutant_registry,
     lint_mutant_tags,
 )
-from repro.analysis.litmus_lint import find_duplicate_tests
+from repro.analysis.litmus_lint import find_duplicate_tests, fr_statically_empty
 from repro.analysis.obs_lint import (
     lint_trace_dir,
     lint_trace_events,

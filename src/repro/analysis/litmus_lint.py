@@ -19,13 +19,28 @@ LIT002   error     outcome references a missing read / write event
 LIT003   warning   sync annotation outside the model's vocabulary (dead)
 LIT004   warning   test duplicates an earlier test modulo symmetry
 LIT005   error     outcome rf pairs a read with a write to another address
+LIT010   warning   no relaxation application exists (statically degenerate)
+LIT011   info      rf/co(/sc) bounds statically empty (single execution)
 =======  ========  ==========================================================
+
+LIT010 asks the relaxations' own ``applications()`` generators
+(:mod:`repro.relax.instruction`) whether the minimality criterion (paper
+Definition 1) has anything to quantify over; every enumerated candidate
+has at least two events, so RI always applies to it.  LIT011 stays
+informational: a test whose dynamic relations have empty declared upper
+bounds admits exactly one well-formed execution, and keeping such tests
+out of the candidate stream is the enumerator's communication prune's
+job.
+
+Also here: :func:`fr_statically_empty`, the emptiness check the difftest
+``empty:fr`` mutation consults.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
+from repro.alloy.encoding import CO, RF, SC_REL, LitmusEncoding
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.analysis.registry import (
     LitmusLintContext,
@@ -35,8 +50,15 @@ from repro.analysis.registry import (
 from repro.core.canonical import canonical_form
 from repro.litmus.events import Order
 from repro.litmus.test import LitmusTest
+from repro.relational.circuit import Circuit
+from repro.relational.translate import Translator
+from repro.relax.instruction import relaxations_for
 
-__all__ = ["lint_litmus_context", "find_duplicate_tests"]
+__all__ = [
+    "lint_litmus_context",
+    "find_duplicate_tests",
+    "fr_statically_empty",
+]
 
 
 @register_pass(
@@ -220,6 +242,80 @@ def check_dead_sync(ctx: LitmusLintContext) -> Iterator[Diagnostic]:
                 hint="dependency kinds the model ignores cannot order "
                 "anything and RD cannot remove them",
             )
+
+
+@register_pass(
+    "litmus-static-applicability",
+    "litmus",
+    "tests no instruction relaxation can weaken",
+    ids=("LIT010",),
+)
+def check_static_applicability(
+    ctx: LitmusLintContext,
+) -> Iterator[Diagnostic]:
+    """LIT010: zero relaxation applications under the model's
+    vocabulary.  Minimality quantifies vacuously over such tests — they
+    carry no evidence about any axiom and never belong in a suite."""
+    if ctx.model is None:
+        return
+    vocab = ctx.model.vocabulary
+    relaxations = relaxations_for(vocab)
+    if any(True for r in relaxations for _ in r.applications(ctx.test, vocab)):
+        return
+    columns = ", ".join(sorted(r.name for r in relaxations)) or "none"
+    yield Diagnostic(
+        "LIT010",
+        Severity.WARNING,
+        ctx.subject,
+        f"no relaxation application exists under the {ctx.model.name} "
+        f"vocabulary (columns checked: {columns}); the minimality "
+        "criterion is vacuous for this test",
+        hint="a minimal test must admit at least one weakening (paper "
+        "Definition 1)",
+    )
+
+
+@register_pass(
+    "litmus-singleton-execution",
+    "litmus",
+    "tests whose dynamic relations are statically fixed",
+    ids=("LIT011",),
+)
+def check_singleton_executions(
+    ctx: LitmusLintContext,
+) -> Iterator[Diagnostic]:
+    """LIT011: every dynamic relation's declared upper bound is empty,
+    so the test has exactly one well-formed execution."""
+    with_sc = bool(
+        ctx.model is not None
+        and getattr(ctx.model, "uses_sc_order", False)
+    )
+    declarations = LitmusEncoding(ctx.test, with_sc=with_sc).problem.declarations
+    names = [RF, CO] + ([SC_REL] if with_sc else [])
+    if any(declarations[name].upper for name in names):
+        return
+    yield Diagnostic(
+        "LIT011",
+        Severity.INFO,
+        ctx.subject,
+        f"dynamic relations ({'/'.join(sorted(names))}) have statically "
+        "empty upper bounds: the test admits exactly one well-formed "
+        "execution, so no outcome can ever be forbidden",
+        hint="informational; such tests cannot discriminate between "
+        "models and never enter a synthesized suite",
+    )
+
+
+def fr_statically_empty(test: LitmusTest) -> bool:
+    """Can ``fr`` (Fig. 4's from-reads) ever hold a tuple on this test?
+
+    Reads the translation the relational oracle compiles: ``fr`` gets a
+    matrix entry only for a same-address (read, write) pair, so no entry
+    means *every* execution of the test has an empty ``fr``, making any
+    ``empty:fr``-style mutation behaviourally identical to the stock
+    model on this test."""
+    translator = Translator(LitmusEncoding(test).problem, Circuit())
+    return not translator.expr(LitmusEncoding.fr()).entries
 
 
 def find_duplicate_tests(

@@ -22,7 +22,17 @@ MDL003   error     axiom unsatisfiable: rejects everything across the battery
 MDL004   warn/err  ``Acyclic``/``Irreflexive`` over a closure expression
 MDL005   warning   two axioms are structurally identical
 MDL006   error     ``wa_axioms`` axiom names out of sync with ``axioms``
+MDL010   warning   axiom folds to true on every probe (statically vacuous)
+MDL011   error     axiom folds to false on a probe (unsat by construction)
+MDL012   warning   operator-induced statically-empty subexpression (dead)
 =======  ========  ==========================================================
+
+MDL010–012 need no solver query: they read the constant folding of the
+relational translator (:class:`~repro.relational.translate.Translator`),
+the same translation the relational oracle solves, over each probe's
+Kodkod bounds.  A tuple no instance can hold gets no matrix entry and a
+formula the bounds decide folds to ``TRUE``/``FALSE``, so they run even
+without ``probe``.
 """
 
 from __future__ import annotations
@@ -38,12 +48,15 @@ from repro.analysis.registry import (
     run_family,
 )
 from repro.relational import ast
+from repro.relational.circuit import FALSE, TRUE, Circuit
 from repro.relational.solve import ModelFinder
+from repro.relational.translate import Translator
 from repro.semantics.enumerate import enumerate_executions
 
 __all__ = [
     "walk_nodes",
     "referenced_relations",
+    "render_expr",
     "lint_model_context",
     "alloy_context",
     "model_context",
@@ -273,6 +286,168 @@ def _probe_verdicts(
                 hint="a never-rejecting axiom contributes an empty "
                 "suite; the definition is probably degenerate",
             )
+
+
+# -- constant-folding passes ----------------------------------------------------
+
+#: binary operators that can produce an empty relation from nonempty
+#: operands — the shapes MDL012's deadness criterion is about
+_KILLER_NODES = (
+    ast.Inter,
+    ast.Diff,
+    ast.Join,
+    ast.DomRestrict,
+    ast.RanRestrict,
+)
+
+
+@register_pass(
+    "model-constant-folding",
+    "model",
+    "translator constant folding: vacuous, unsatisfiable, and dead axioms",
+    ids=("MDL010", "MDL011", "MDL012"),
+)
+def check_axiom_folding(ctx: ModelLintContext) -> Iterator[Diagnostic]:
+    """MDL010/MDL011/MDL012 (see module docstring).  Runs regardless of
+    ``ctx.probe``: building relation matrices only allocates variables."""
+    if ctx.formulas is None:
+        return
+    translators = [
+        Translator(
+            LitmusEncoding(probe, with_sc=ctx.needs_sc).problem, Circuit()
+        )
+        for probe in PROBE_BATTERY
+    ]
+    for axiom_name, formula in ctx.formulas.items():
+        subject = f"{ctx.subject}:{axiom_name}"
+        try:
+            verdicts = [t.formula(formula) for t in translators]
+        except (KeyError, TypeError):
+            continue  # misspelled Rel names are MDL001's job
+        if all(v == TRUE for v in verdicts):
+            yield Diagnostic(
+                "MDL010",
+                Severity.WARNING,
+                subject,
+                f"axiom is abstractly true on every probe structure "
+                f"({len(translators)} probes): no choice of rf/co could "
+                "ever violate it",
+                hint="a statically-vacuous axiom contributes an empty "
+                "per-axiom suite; the definition is probably degenerate "
+                "(the solver probe MDL002 confirms semantically)",
+            )
+        false_count = verdicts.count(FALSE)
+        if false_count:
+            yield Diagnostic(
+                "MDL011",
+                Severity.ERROR,
+                subject,
+                f"axiom is abstractly false on {false_count} probe "
+                "structure(s): unsatisfiable by construction, no choice "
+                "of rf/co can satisfy it",
+                hint="an always-false axiom makes every candidate "
+                "forbidden; check operator polarity (the solver probe "
+                "MDL003 confirms semantically)",
+            )
+        yield from _dead_subexpressions(subject, formula, translators)
+
+
+def _expr_children(node: ast.Expr | ast.Formula) -> tuple[ast.Expr, ...]:
+    return tuple(
+        child for child in ast.children(node) if isinstance(child, ast.Expr)
+    )
+
+
+def _dead_subexpressions(
+    subject: str, formula: ast.Formula, translators: list[Translator]
+) -> Iterator[Diagnostic]:
+    """MDL012: maximal operator-induced dead subexpressions, top-down
+    (a flagged node's descendants are not re-flagged).
+
+    Only *operator-induced* deadness counts: a killer node with no
+    matrix entry on any probe although its operands all have entries on
+    one common probe (intersecting disjoint relations, a join with no
+    matching middle column).  A merely unexercised vocabulary relation —
+    ``FenceAcqRel`` on a battery without acq_rel fences — does not
+    qualify, so the stock models stay clean."""
+    reported: set[str] = set()
+
+    def visit(node: ast.Expr) -> Iterator[Diagnostic]:
+        kids = _expr_children(node)
+        if isinstance(node, _KILLER_NODES):
+            try:
+                dead_everywhere = all(
+                    not t.expr(node).entries for t in translators
+                )
+                operands_live_somewhere = any(
+                    all(t.expr(kid).entries for kid in kids)
+                    for t in translators
+                )
+            except (KeyError, TypeError):
+                return
+            if dead_everywhere and operands_live_somewhere:
+                rendered = render_expr(node)
+                if rendered not in reported:
+                    reported.add(rendered)
+                    yield Diagnostic(
+                        "MDL012",
+                        Severity.WARNING,
+                        subject,
+                        f"subexpression {rendered} is statically empty "
+                        "on every probe although its operands are not: "
+                        "the operator combination can never produce a "
+                        "tuple",
+                        hint="an always-empty term is dead weight in the "
+                        "axiom; check for disjoint intersections, joins "
+                        "with no matching column, or a misdirected "
+                        "restriction",
+                    )
+                return  # maximal node reported; skip descendants
+        for kid in kids:
+            yield from visit(kid)
+
+    for node in ast.walk(formula):
+        if isinstance(node, ast.Formula):
+            for root in _expr_children(node):
+                yield from visit(root)
+
+
+_BINOPS: dict[type, str] = {
+    ast.Union: "+",
+    ast.Inter: "&",
+    ast.Diff: "-",
+    ast.Join: ".",
+    ast.Product: "->",
+}
+
+
+def render_expr(expr: ast.Expr) -> str:
+    """Alloy-flavoured one-line rendering of an expression (MDL012
+    prints the dead term with it)."""
+    if isinstance(expr, ast.Rel):
+        return expr.name
+    if isinstance(expr, ast.Iden):
+        return "iden"
+    if isinstance(expr, ast.NoneExpr):
+        return "none"
+    if isinstance(expr, ast.UnivExpr):
+        return "univ"
+    op = _BINOPS.get(type(expr))
+    if op is not None:
+        left = render_expr(expr.left)  # type: ignore[attr-defined]
+        right = render_expr(expr.right)  # type: ignore[attr-defined]
+        return f"({left} {op} {right})"
+    if isinstance(expr, ast.Transpose):
+        return f"~{render_expr(expr.inner)}"
+    if isinstance(expr, ast.Closure):
+        return f"^{render_expr(expr.inner)}"
+    if isinstance(expr, ast.RClosure):
+        return f"*{render_expr(expr.inner)}"
+    if isinstance(expr, ast.DomRestrict):
+        return f"({render_expr(expr.set_expr)} <: {render_expr(expr.rel)})"
+    if isinstance(expr, ast.RanRestrict):
+        return f"({render_expr(expr.rel)} :> {render_expr(expr.set_expr)})"
+    return type(expr).__name__
 
 
 # -- context builders / entry points --------------------------------------------

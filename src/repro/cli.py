@@ -40,6 +40,7 @@ an Alloy encoding.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -195,24 +196,36 @@ def oracle_spec_from_args(args) -> OracleSpec:
     return OracleSpec(oracle=args.oracle, cnf_cache_dir=args.cnf_cache_dir)
 
 
+def _enumeration_config(args, **flags) -> EnumerationConfig:
+    """The model's default bounds for ``--bound``, with each given flag
+    value replacing its field (``None`` keeps the default).
+
+    The defaults come from :meth:`SynthesisOptions.resolved_config`, the
+    one place that gives transistency models their alias axis, so every
+    subcommand that synthesizes enumerates the same space."""
+    try:
+        base = SynthesisOptions(bound=args.bound).resolved_config(
+            get_model(args.model)
+        )
+    except ValueError as exc:
+        raise _CliError(str(exc)) from exc
+    given = {name: value for name, value in flags.items() if value is not None}
+    return dataclasses.replace(base, **given)
+
+
 def _synthesis_options(args) -> SynthesisOptions:
     """Build the options a ``synthesize``-flavoured arg set describes.
 
     Shared by ``synthesize`` and ``submit`` so the same flags produce the
     same options — and therefore the same request fingerprint, which is
     what lets a local run and a daemon submission dedup-coalesce."""
-    max_aliases = args.max_aliases
-    if max_aliases is None:
-        max_aliases = (
-            1 if get_model(args.model).vocabulary.has_vmem else 0
-        )
-    config = EnumerationConfig(
-        max_events=args.bound,
+    config = _enumeration_config(
+        args,
         max_threads=args.max_threads,
         max_addresses=args.max_addresses,
         max_deps=args.max_deps,
         max_rmws=args.max_rmws,
-        max_aliases=max_aliases,
+        max_aliases=args.max_aliases,
     )
     try:
         return SynthesisOptions(
@@ -441,9 +454,7 @@ def _cmd_compare(args) -> int:
     if args.suite:
         synthesized = _load_suite(args.suite)
     else:
-        config = EnumerationConfig(
-            max_events=args.bound, max_addresses=args.max_addresses
-        )
+        config = _enumeration_config(args, max_addresses=args.max_addresses)
         try:
             options = SynthesisOptions(bound=args.bound, config=config)
         except ValueError as exc:

@@ -55,6 +55,7 @@ from repro.litmus.events import (
 )
 from repro.litmus.test import Dep, LitmusTest
 from repro.models.base import Vocabulary
+from repro.vmem.addrmap import alias_maps
 
 __all__ = [
     "EnumerationConfig",
@@ -121,9 +122,14 @@ class ThreadUnit:
         )
 
 
-def _slot_choices(
+def slot_choices(
     vocab: Vocabulary, config: EnumerationConfig
 ) -> list[Instruction]:
+    """Every instruction an enumeration slot may hold for this vocabulary.
+
+    Shared with :mod:`repro.difftest.generator`, which samples from the
+    same design space the exhaustive enumerator walks.
+    """
     choices: list[Instruction] = []
     # Scoped models annotate every synchronizing instruction with a
     # scope; plain accesses carry none.
@@ -153,9 +159,12 @@ def _slot_choices(
     return choices
 
 
-def _dep_candidates(
+def dep_candidates(
     instructions: tuple[Instruction, ...], vocab: Vocabulary
 ) -> list[tuple[int, int, DepKind]]:
+    """Well-formed thread-local dependency edges over an instruction
+    sequence (read sources, po-later non-fence targets, data deps only to
+    writes)."""
     out = []
     for i, src in enumerate(instructions):
         if not src.is_read:
@@ -171,43 +180,17 @@ def _dep_candidates(
     return out
 
 
-def _rmw_candidates(
+def rmw_candidates(
     instructions: tuple[Instruction, ...]
 ) -> list[tuple[int, int]]:
+    """Po-adjacent same-address (read, write) pairs eligible for an rmw
+    pairing."""
     out = []
     for i in range(len(instructions) - 1):
         a, b = instructions[i], instructions[i + 1]
         if a.is_read and b.is_write and a.address == b.address:
             out.append((i, i + 1))
     return out
-
-
-def slot_choices(
-    vocab: Vocabulary, config: EnumerationConfig
-) -> list[Instruction]:
-    """Every instruction an enumeration slot may hold for this vocabulary.
-
-    Public entry point shared with :mod:`repro.difftest.generator`, which
-    samples from the same design space the exhaustive enumerator walks.
-    """
-    return _slot_choices(vocab, config)
-
-
-def dep_candidates(
-    instructions: tuple[Instruction, ...], vocab: Vocabulary
-) -> list[tuple[int, int, DepKind]]:
-    """Well-formed thread-local dependency edges over an instruction
-    sequence (read sources, po-later non-fence targets, data deps only to
-    writes)."""
-    return _dep_candidates(instructions, vocab)
-
-
-def rmw_candidates(
-    instructions: tuple[Instruction, ...]
-) -> list[tuple[int, int]]:
-    """Po-adjacent same-address (read, write) pairs eligible for an rmw
-    pairing."""
-    return _rmw_candidates(instructions)
 
 
 def _dep_subset_ok(subset: tuple[tuple[int, int, DepKind], ...]) -> bool:
@@ -222,13 +205,13 @@ def thread_units(
 ) -> list[ThreadUnit]:
     """Every thread of ``size`` instructions over the vocabulary."""
     units: list[ThreadUnit] = []
-    choices = _slot_choices(vocab, config)
+    choices = slot_choices(vocab, config)
     for seq in product(choices, repeat=size):
         if not config.allow_boundary_fences:
             if seq[0].is_fence or seq[-1].is_fence:
                 continue
-        rmw_cands = _rmw_candidates(seq) if vocab.allows_rmw else []
-        dep_cands = _dep_candidates(seq, vocab)
+        rmw_cands = rmw_candidates(seq) if vocab.allows_rmw else []
+        dep_cands = dep_candidates(seq, vocab)
         rmw_subsets: list[tuple[tuple[int, int], ...]] = [()]
         for k in range(1, config.max_rmws + 1):
             for combo in combinations(rmw_cands, k):
@@ -436,7 +419,7 @@ def _assembled_variants(
         if communicates:
             yield base
         if config.max_aliases:
-            for amap in _alias_maps(len(base.addresses), config.max_aliases):
+            for amap in alias_maps(len(base.addresses), config.max_aliases):
                 candidate = LitmusTest(
                     base.threads, base.rmw, base.deps, base.scopes, None, amap
                 )
@@ -445,38 +428,6 @@ def _assembled_variants(
                 ):
                     continue
                 yield candidate
-
-
-def _alias_maps(
-    num_addresses: int, max_aliases: int
-) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Non-identity alias maps over canonical addresses ``0..n-1``.
-
-    Each map merges addresses into location groups anchored at their
-    minimal member (the canonicalizer's orientation), using at most
-    ``max_aliases`` entries.  Enumerated as restricted growth strings, so
-    the stream is deterministic and duplicate-free.
-    """
-    if num_addresses < 2:
-        return
-
-    def rec(acc: tuple[int, ...], max_used: int):
-        if len(acc) == num_addresses:
-            merges = num_addresses - (max_used + 1)
-            if 0 < merges <= max_aliases:
-                reps: dict[int, int] = {}
-                entries: list[tuple[int, int]] = []
-                for addr, g in enumerate(acc):
-                    if g in reps:
-                        entries.append((addr, reps[g]))
-                    else:
-                        reps[g] = addr
-                yield tuple(entries)
-            return
-        for g in range(max_used + 2):
-            yield from rec(acc + (g,), max(max_used, g))
-
-    yield from rec((0,), 0)
 
 
 def _communicates_locations(test: LitmusTest) -> bool:

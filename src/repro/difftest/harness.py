@@ -210,7 +210,7 @@ class DiffHarness:
         self, test: LitmusTest, tag: str, seed: int, index: int
     ) -> list[Discrepancy]:
         if tag == "empty:fr":
-            from repro.analysis.flow import fr_statically_empty
+            from repro.analysis import fr_statically_empty
 
             if fr_statically_empty(test):
                 # No same-address (read, write) pair exists, so the

@@ -95,16 +95,6 @@ _STATIC_ROWS: dict[str, dict[str, Applicability]] = {
         "DV": Applicability.NO,
         "UA": Applicability.NO,
     },
-    "opencl": {
-        "RI": Applicability.YES,
-        "DRMW": Applicability.YES,
-        "DF": Applicability.YES,
-        "DMO": Applicability.YES,
-        "RD": Applicability.THIN_AIR_ONLY,
-        "DS": Applicability.YES,
-        "DV": Applicability.NO,
-        "UA": Applicability.NO,
-    },
 }
 
 #: Display order mirroring the paper's Table 2.

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.relational import ast
+from repro.relational.circuit import FALSE, TRUE, Circuit
 from repro.relational.problem import Problem
 from repro.relational.solve import ModelFinder
+from repro.relational.translate import Translator
 
 
 def finder(n=3):
@@ -179,6 +181,67 @@ class TestFreeRelations:
                 )
         mf = ModelFinder(problem)
         assert len(list(mf.instances(formula))) == 6
+
+
+def folding_problem() -> Problem:
+    """Constants plus free relations whose bounds alone decide some
+    formulas and leave others to the solver."""
+    problem = Problem(3)
+    problem.constant("t", {(2, 0)})
+    problem.declare("may", upper={(0, 1)})
+    problem.declare("must", lower={(0, 1)}, upper={(0, 1), (1, 2)})
+    problem.declare("two", lower={(0, 1), (1, 2)}, upper={(0, 1), (1, 2), (2, 0)})
+    problem.declare("line", upper={(0, 1), (1, 2)})
+    problem.declare("cyc", lower={(0, 1), (1, 0)}, upper={(0, 1), (1, 0), (1, 2)})
+    return problem
+
+
+may, must, two = ast.Rel("may"), ast.Rel("must"), ast.Rel("two")
+UNDECIDED = None
+
+FOLDING_CASES = {
+    # expressions: (tuples with a TRUE entry, tuples with any entry)
+    "join-through-empty-middle": (may.join(ast.Rel("t")), (set(), set())),
+    "diff-marks-lower-minus-upper": (
+        two - may,
+        ({(1, 2)}, {(0, 1), (1, 2), (2, 0)}),
+    ),
+    # formulas: TRUE, FALSE, or left to the solver
+    "some-none": (ast.Some(ast.NoneExpr()), FALSE),
+    "no-none": (ast.No(ast.NoneExpr()), TRUE),
+    "acyclic-upper-bound": (ast.Acyclic(ast.Rel("line")), TRUE),
+    "acyclic-lower-bound-cycle": (ast.Acyclic(ast.Rel("cyc")), FALSE),
+    "subset-upper-in-lower": (ast.Subset(may, must), TRUE),
+    "subset-lower-outside-upper": (ast.Subset(must, ast.Rel("t")), FALSE),
+    "subset-undecided": (ast.Subset(must, may), UNDECIDED),
+    "lone-upper-singleton": (ast.Lone(may), TRUE),
+    "lone-lower-pair": (ast.Lone(two), FALSE),
+    "one-none": (ast.One(ast.NoneExpr()), FALSE),
+    "one-undecided": (ast.One(may), UNDECIDED),
+    "and-with-false": (ast.And(ast.Some(may), ast.Some(ast.NoneExpr())), FALSE),
+    "implies-from-false": (ast.Implies(ast.Some(ast.NoneExpr()), ast.Some(may)), TRUE),
+}
+
+
+class TestConstantFolding:
+    """What the bounds alone decide, with no solver query: the static
+    lints (MDL010–012, ``fr_statically_empty``) read exactly this."""
+
+    @pytest.mark.parametrize(
+        "node, expected",
+        list(FOLDING_CASES.values()),
+        ids=list(FOLDING_CASES),
+    )
+    def test_folds(self, node, expected):
+        translator = Translator(folding_problem(), Circuit())
+        if isinstance(node, ast.Expr):
+            entries = translator.expr(node).entries
+            certain = {t for t, v in entries.items() if v == TRUE}
+            assert (certain, set(entries)) == expected
+        elif expected is UNDECIDED:
+            assert translator.formula(node) not in (TRUE, FALSE)
+        else:
+            assert translator.formula(node) == expected
 
 
 class TestErrors:

@@ -1,6 +1,7 @@
 """Public API surface tests."""
 
 import dataclasses
+import importlib
 import os
 import re
 
@@ -63,7 +64,9 @@ class TestPublicAPI:
         # constructor keywords and the read aliases are both gone.  1.5
         # removed the cold-solver and prefilter knobs from OracleSpec,
         # SynthesisOptions.progress and CampaignOptions.oracle_spec; 1.6
-        # removed the lint-based candidate filter with its public names.
+        # removed the lint-based candidate filter with its public names;
+        # 1.8 removed the interval abstract interpreter and the
+        # repro.analysis.flow package (the lints read the translator).
         synthesis = (repro.SynthesisOptions, {"bound": 3})
         spec = (repro.OracleSpec, {})
         campaign = (repro.CampaignOptions, {"model": "tso"})
@@ -86,8 +89,11 @@ class TestPublicAPI:
             (repro, "EARLY_REJECT"),
             (repro.analysis, "early_reject"),
             (repro.analysis, "application_counts"),
+            (repro.analysis, "flow"),
         ):
             assert not hasattr(module, name), name
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.analysis.flow")
         fields = [f.name for f in dataclasses.fields(repro.OracleSpec)]
         assert fields == ["oracle", "cnf_cache_dir"]
         options = repro.SynthesisOptions(

@@ -568,6 +568,34 @@ class TestCLICompareExtended:
         out = capsys.readouterr().out
         assert "REF-ONLY" not in out  # a suite always subsumes itself
 
+    @pytest.mark.parametrize("model", ["sc_vmem", "tso_vmem"])
+    def test_compare_vmem_model_subsumes_its_own_suite(
+        self, capsys, tmp_path, model
+    ):
+        # compare must synthesize the alias axis synthesize enumerates
+        import json
+
+        suite_path = tmp_path / "suite.json"
+        synth = ["synthesize", "--model", model, "--bound", "2"]
+        assert main([*synth, "--out", str(suite_path)]) == 0
+        capsys.readouterr()
+        code = main(
+            [
+                "compare",
+                "--model",
+                model,
+                "--bound",
+                "2",
+                "--reference",
+                str(suite_path),
+                "--json",
+            ]
+        )
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)["payload"]
+        assert doc["reference_only"] == {}
+        assert doc["fully_subsumed"] is True
+
     def test_compare_missing_suite_file(self, capsys):
         code = main(
             ["compare", "--model", "tso", "--suite", "/nonexistent.json"]
