@@ -94,12 +94,11 @@ from repro.service import (
     JobProgress,
     JobResult,
     JobStatus,
-    QuotaExceededError,
     ServiceError,
     SynthesisRequest,
 )
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "__version__",
@@ -162,7 +161,6 @@ __all__ = [
     "JobStatus",
     "JobProgress",
     "JobResult",
-    "QuotaExceededError",
     "Client",
     "ServiceError",
     # relaxations

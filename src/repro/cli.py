@@ -21,7 +21,6 @@
                           [--list-mutants]
     litmus-synth report TRACE_DIR [--json]
     litmus-synth serve (--socket PATH | --port N) [--pool-workers N]
-                       [--recycle-after N] [--max-queued-per-client N]
                        [--cnf-cache-dir D] [--trace-dir D]
     litmus-synth submit --server ADDR --model tso --bound 4 [--wait]
                         [synthesis knobs ...] [--json]
@@ -567,10 +566,8 @@ def _cmd_serve(args) -> int:
     try:
         manager = JobManager(
             workers=args.pool_workers,
-            recycle_after=args.recycle_after,
             cnf_cache_dir=cnf_cache_dir,
             trace_dir=args.trace_dir,
-            max_queued_per_client=args.max_queued_per_client,
         )
     except ValueError as exc:
         raise _CliError(str(exc)) from exc
@@ -950,28 +947,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1", help="TCP bind host")
     p.add_argument(
         "--pool-workers",
-        "--workers",
-        dest="pool_workers",
         type=int,
         default=1,
         help="resident worker processes (each keeps its own warm "
-        "caches and runs jobs in parallel with the others); "
-        "--workers is the pre-1.2 spelling",
-    )
-    p.add_argument(
-        "--max-queued-per-client",
-        type=int,
-        default=0,
-        metavar="N",
-        help="reject a client's submission once it already has N jobs "
-        "queued (0 = no quota; coalesced duplicates never count)",
-    )
-    p.add_argument(
-        "--recycle-after",
-        type=int,
-        default=0,
-        help="recycle a worker's warm caches after this many jobs "
-        "(0 = keep forever); the disk CNF cache survives recycling",
+        "caches and runs jobs in parallel with the others)",
     )
     p.add_argument(
         "--cnf-cache-dir",

@@ -133,22 +133,34 @@ class TestSuite:
 
     # -- serialization ----------------------------------------------------------
 
-    def to_json(self) -> str:
-        payload = {
-            "model": self.model_name,
-            "label": self.label,
-            "tests": [entry_to_dict(e) for e in self],
-        }
-        return json.dumps(payload, indent=2)
+    def to_dict(self) -> dict:
+        """The suite schema: entry-by-entry in insertion order, so
+        :meth:`from_dict` rebuilds an equal suite in the same order."""
+        payload: dict = {"model": self.model_name, "label": self.label}
+        if not self.exact_symmetry:
+            # written only when set, so exact suites keep their bytes
+            payload["exact_symmetry"] = False
+        payload["tests"] = [entry_to_dict(e) for e in self]
+        return payload
 
     @classmethod
-    def from_json(cls, text: str) -> TestSuite:
-        payload = json.loads(text)
-        suite = cls(payload["model"], payload.get("label", "union"))
+    def from_dict(cls, payload: dict) -> TestSuite:
+        suite = cls(
+            payload["model"],
+            payload.get("label", "union"),
+            payload.get("exact_symmetry", True),
+        )
         for item in payload["tests"]:
             test, witness, axioms = entry_from_dict(item)
             suite.add(test, witness, axioms)
         return suite
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
+
+    @classmethod
+    def from_json(cls, text: str) -> TestSuite:
+        return cls.from_dict(json.loads(text))
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

@@ -202,9 +202,9 @@ class ResidentProcess:
     jobs, so state built by ``task.setup`` (warm checkers, solver
     sessions) is reused.  A child that dies mid-job raises
     :class:`WorkerDied` for that job only; the next job transparently
-    spawns a replacement.  :meth:`close` stops the child — on purpose
-    to recycle it (on-disk state such as CNF caches survives, in-memory
-    state is rebuilt by the next child) or for good.
+    spawns a replacement.  :meth:`close` stops the child; on-disk state
+    such as CNF caches survives it, and a later job spawns a fresh child
+    that rebuilds the in-memory state.
 
     Children are not daemonic, so a child may itself fan out; a child
     that is never closed is stopped at interpreter exit (or when this

@@ -17,7 +17,9 @@ The package splits along the process boundary:
 A daemon's answers are *byte-identical* to local runs: results cross
 the wire entry-by-entry and are reassembled in candidate order, so the
 suite ``synthesize --server ADDR --out FILE`` writes equals the local
-one.
+one.  The daemon serves one caller's pipeline: submissions carry no
+client name, and a failure is a ``service-error`` envelope holding only
+its message.
 """
 
 from repro.service.client import Client, ServiceError, parse_address
@@ -28,7 +30,6 @@ from repro.service.protocol import (
     JobResult,
     JobState,
     JobStatus,
-    QuotaExceededError,
     SynthesisRequest,
     result_from_payload,
     result_to_payload,
@@ -41,7 +42,6 @@ __all__ = [
     "JobStatus",
     "JobProgress",
     "JobResult",
-    "QuotaExceededError",
     "result_to_payload",
     "result_from_payload",
     "Job",

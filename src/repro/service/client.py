@@ -42,16 +42,7 @@ __all__ = ["Client", "ServiceError", "parse_address"]
 
 class ServiceError(RuntimeError):
     """The daemon answered with a ``service-error`` envelope (or the
-    transport failed).
-
-    ``code`` carries the envelope's machine-readable error class when
-    the daemon sent one (``"quota-exceeded"`` for per-client queue
-    quota rejections), else None.
-    """
-
-    def __init__(self, message: str, code: str | None = None):
-        super().__init__(message)
-        self.code = code
+    transport failed)."""
 
 
 def parse_address(address: str) -> tuple[str | None, str, int | None]:
@@ -124,8 +115,7 @@ class Client:
 
         Yields each envelope as it arrives; the iterator ends after the
         terminal ``job-result`` or when the daemon hangs up.
-        ``service-error`` envelopes raise :class:`ServiceError`
-        (carrying the wire ``code``).
+        ``service-error`` envelopes raise :class:`ServiceError`.
         """
         request = envelope(
             WIRE_SCHEMA_NAME, WIRE_SCHEMA_VERSION, {"op": op, **fields}
@@ -168,8 +158,7 @@ class Client:
                     ) from exc
                 if report.schema_name == SERVICE_ERROR_SCHEMA_NAME:
                     raise ServiceError(
-                        str(report.payload.get("error", "unknown error")),
-                        code=report.payload.get("code"),
+                        str(report.payload.get("error", "unknown error"))
                     )
                 yield report
                 if report.schema_name == JOB_RESULT_SCHEMA_NAME:
@@ -182,13 +171,9 @@ class Client:
     def ping(self) -> bool:
         return bool(self.call("ping").payload.get("ok"))
 
-    def submit(
-        self, request: SynthesisRequest, client: str = "anonymous"
-    ) -> tuple[JobStatus, bool]:
+    def submit(self, request: SynthesisRequest) -> tuple[JobStatus, bool]:
         """Submit without waiting; returns ``(status, deduped)``."""
-        report = self.call(
-            "submit", request=request.to_payload(), client=client
-        )
+        report = self.call("submit", request=request.to_payload())
         return (
             JobStatus.from_payload(report.payload),
             bool(report.payload.get("deduped")),
@@ -251,7 +236,6 @@ class Client:
         options: SynthesisOptions,
         timeout: float | None = None,
         on_progress: Callable[[dict], None] | None = None,
-        client: str = "anonymous",
     ) -> SynthesisResult:
         """Submit, wait, and return the reconstructed result — the
         remote twin of :func:`repro.synthesize` (same suites, byte for
@@ -267,7 +251,6 @@ class Client:
             request=request.to_payload(),
             wait=True,
             timeout=timeout,
-            client=client,
         )
         job = JobResult.from_payload(report.payload)
         if job.result is None:

@@ -6,7 +6,9 @@ condition variable that every progress event and every terminal state
 transition notifies, so :meth:`JobManager.wait_events` and
 :meth:`JobManager.result` are the same wait.  The asyncio server in
 :mod:`repro.service.server` is a thin wire adapter over it, and tests
-drive it directly without any sockets.
+drive it directly without any sockets.  The queue is first in, first
+out, with no per-submitter accounting: the daemon serves one caller's
+synthesis pipeline.
 
 **Request deduplication.**  Submissions are keyed by
 :meth:`SynthesisRequest.fingerprint`.  While a job for a fingerprint is
@@ -42,7 +44,6 @@ from repro.service.protocol import (
     JobResult,
     JobState,
     JobStatus,
-    QuotaExceededError,
     SynthesisRequest,
 )
 
@@ -62,7 +63,6 @@ class Job:
     fingerprint: str
     state: JobState = JobState.QUEUED
     clients: int = 1
-    client: str = "anonymous"
     events: list[dict] = field(default_factory=list)
     submitted: float = field(default_factory=time.perf_counter)
     started: float | None = None
@@ -93,17 +93,10 @@ class JobManager:
             :class:`~repro.service.pool.ResidentWorker` keeps its warm
             state in a dedicated child process, so concurrent jobs run
             truly in parallel.
-        recycle_after: per-worker job count before its child process
-            (and every warm checker in it) is restarted (0 = never).
         cnf_cache_dir: base directory for the workers' per-model CNF
             compilation caches (see
             :meth:`repro.service.pool.ResidentWorker.effective_request`).
         trace_dir: optional :mod:`repro.obs` trace directory.
-        max_queued_per_client: reject a submission with
-            :class:`~repro.service.protocol.QuotaExceededError` when the
-            submitting client already has this many jobs *queued*
-            (0 = unlimited).  Dedup-coalesced submissions never count —
-            they add no queue entry.
         worker_factory: test hook — a callable ``(index) -> worker``
             returning anything with ``run(request, progress=...)`` and
             ``as_metrics()``; :meth:`close` also calls its optional
@@ -114,20 +107,12 @@ class JobManager:
     def __init__(
         self,
         workers: int = 1,
-        recycle_after: int = 0,
         cnf_cache_dir: str | None = None,
         trace_dir: str | None = None,
-        max_queued_per_client: int = 0,
         worker_factory: Callable[[int], Any] | None = None,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if max_queued_per_client < 0:
-            raise ValueError(
-                "max_queued_per_client must be >= 0, got "
-                f"{max_queued_per_client}"
-            )
-        self.max_queued_per_client = max_queued_per_client
         self._lock = threading.Lock()
         #: shares the manager lock; notified on every appended progress
         #: event and every terminal state transition
@@ -139,13 +124,10 @@ class JobManager:
         self.dedup_hits = 0
         self.jobs_submitted = 0
         self.jobs_finished = 0
-        self.quota_rejections = 0
         self._closed = False
         if worker_factory is None:
             worker_factory = lambda index: ResidentWorker(  # noqa: E731
-                index,
-                recycle_after=recycle_after,
-                cnf_cache_base=cnf_cache_dir,
+                index, cnf_cache_base=cnf_cache_dir
             )
         self.workers = [worker_factory(index) for index in range(workers)]
         self._tracer: Tracer | None = None
@@ -167,18 +149,11 @@ class JobManager:
 
     # -- client-facing operations ------------------------------------------
 
-    def submit(
-        self, request: SynthesisRequest, client: str = "anonymous"
-    ) -> tuple[Job, bool]:
+    def submit(self, request: SynthesisRequest) -> tuple[Job, bool]:
         """Enqueue a request; returns ``(job, deduped)``.
 
         ``deduped`` is True when the submission coalesced onto an
         already-active identical job instead of creating a new one.
-        ``client`` is the submitter's self-declared identity the
-        per-client queue quota counts against; a submission that would
-        create a new job while the client already has
-        ``max_queued_per_client`` jobs queued raises
-        :class:`~repro.service.protocol.QuotaExceededError`.
         """
         fingerprint = request.fingerprint()
         with self._lock:
@@ -189,27 +164,12 @@ class JobManager:
                 active.clients += 1
                 self.dedup_hits += 1
                 return active, True
-            if self.max_queued_per_client > 0:
-                queued = sum(
-                    1
-                    for other in self._jobs.values()
-                    if other.state is JobState.QUEUED
-                    and other.client == client
-                )
-                if queued >= self.max_queued_per_client:
-                    self.quota_rejections += 1
-                    raise QuotaExceededError(
-                        f"client {client!r} already has {queued} jobs "
-                        f"queued (limit {self.max_queued_per_client}); "
-                        "wait for one to start or finish"
-                    )
             seq = next(self._seq)
             job = Job(
                 job_id=f"job-{seq:04d}",
                 seq=seq,
                 request=request,
                 fingerprint=fingerprint,
-                client=client,
             )
             self._jobs[job.job_id] = job
             self._active[fingerprint] = job
@@ -300,7 +260,6 @@ class JobManager:
                 "jobs_queued": queued,
                 "jobs_running": running,
                 "dedup_hits": self.dedup_hits,
-                "quota_rejections": self.quota_rejections,
             }
             worker_totals = merge_metrics(
                 *(worker.as_metrics() for worker in self.workers)

@@ -28,9 +28,9 @@ Two deliberate behaviors:
 Results cross the pipe in the wire form
 (:func:`repro.service.protocol.result_to_payload`), whose reconstruction
 is byte-identical by construction — the same marshalling every remote
-client already gets.  Recycling (``recycle_after=N``) restarts the child
-after N jobs — returning the memory of the session LRU and analysis
-memos, and, for tests, forcing the next job through the disk CNF cache.
+client already gets.  A child lives until the daemon shuts down: every
+warm cache in it is a bounded LRU, so its memory levels off after the
+first few jobs instead of growing with the job count.
 """
 
 from __future__ import annotations
@@ -110,18 +110,10 @@ class ResidentWorker:
     lock.
     """
 
-    def __init__(
-        self,
-        index: int = 0,
-        recycle_after: int = 0,
-        cnf_cache_base: str | None = None,
-    ):
+    def __init__(self, index: int = 0, cnf_cache_base: str | None = None):
         self.index = index
-        #: restart the child after this many jobs (0 = never)
-        self.recycle_after = recycle_after
         self.cnf_cache_base = cnf_cache_base
         self.jobs_done = 0
-        self.recycles = 0
         self.warm_hits = 0
         self.warm_misses = 0
         self._proc = ResidentProcess(
@@ -174,13 +166,6 @@ class ResidentWorker:
             self.warm_hits += 1
         elif warm is False:
             self.warm_misses += 1
-        if self.recycle_after > 0 and self.jobs_done % self.recycle_after == 0:
-            # Every warm checker (sessions, memos, in-memory CNF LRU) goes
-            # with the child; the disk CNF cache survives, which is what
-            # makes the next job's compile_hit_rate a restart-survival
-            # measurement.
-            self._proc.close()
-            self.recycles += 1
         return result, dict(result.oracle_stats)
 
     def interrupt(self) -> None:
@@ -190,14 +175,15 @@ class ResidentWorker:
         self._proc.interrupt()
 
     def close(self) -> None:
-        """Shut the child down for good (daemon shutdown path)."""
+        """Shut the child down (daemon shutdown path).  Every warm
+        checker goes with it; the disk CNF cache survives, and a later
+        job spawns a fresh child."""
         self._proc.close()
 
     def as_metrics(self) -> dict[str, int | float]:
         """Raw worker counters, :class:`repro.obs.Stats` style."""
         return {
             "worker_jobs": self.jobs_done,
-            "worker_recycles": self.recycles,
             "worker_warm_hits": self.warm_hits,
             "worker_warm_misses": self.warm_misses,
         }

@@ -44,7 +44,7 @@ from typing import Any, Mapping
 
 from repro.core.enumerator import EnumerationConfig
 from repro.core.minimality import CriterionMode
-from repro.core.suite import TestSuite, entry_from_dict, entry_to_dict
+from repro.core.suite import TestSuite
 from repro.core.synthesis import OracleSpec, SynthesisOptions, SynthesisResult
 from repro.obs import Report
 
@@ -64,7 +64,6 @@ __all__ = [
     "WIRE_SCHEMA_NAME",
     "WIRE_SCHEMA_VERSION",
     "JobState",
-    "QuotaExceededError",
     "SynthesisRequest",
     "JobStatus",
     "JobProgress",
@@ -93,19 +92,6 @@ WIRE_SCHEMA_VERSION = 1
 
 #: SynthesisOptions fields that never serialize (process-local values)
 _LOCAL_ONLY = ("candidates", "progress_events")
-
-
-class QuotaExceededError(RuntimeError):
-    """A submission was rejected by the per-client queue quota.
-
-    Raised daemon-side by :meth:`repro.service.jobs.JobManager.submit`
-    when the submitting client already has ``--max-queued-per-client``
-    jobs queued; crosses the wire as a ``service-error`` envelope whose
-    ``code`` is :attr:`code`, which the client surfaces as a
-    :class:`repro.service.client.ServiceError` with that same code.
-    """
-
-    code = "quota-exceeded"
 
 
 class JobState(str, enum.Enum):
@@ -137,19 +123,9 @@ def envelope(
     )
 
 
-def error_envelope(
-    message: str, command: str = "service", code: str | None = None
-) -> Report:
-    """The one failure shape the daemon answers with.
-
-    ``code`` carries a machine-readable error class (today only
-    ``"quota-exceeded"``) so clients can react without string-matching
-    the message.
-    """
-    payload: dict[str, Any] = {"error": message}
-    if code is not None:
-        payload["code"] = code
-    return envelope(SERVICE_ERROR_SCHEMA_NAME, 1, payload, command=command)
+def error_envelope(message: str) -> Report:
+    """The one failure shape the daemon answers with."""
+    return envelope(SERVICE_ERROR_SCHEMA_NAME, 1, {"error": message})
 
 
 @dataclass(frozen=True)
@@ -373,33 +349,6 @@ class JobProgress:
 # -- result marshalling ------------------------------------------------------------
 
 
-def _suite_to_payload(suite: TestSuite) -> dict[str, Any]:
-    """One suite, entry-by-entry in iteration order.
-
-    Rebuilding a suite from this payload re-inserts canonical entries in
-    the original order, so ``TestSuite.to_json`` of the reconstruction
-    is byte-identical to the source suite's.
-    """
-    return {
-        "model": suite.model_name,
-        "label": suite.label,
-        "exact_symmetry": suite.exact_symmetry,
-        "tests": [entry_to_dict(entry) for entry in suite],
-    }
-
-
-def _suite_from_payload(payload: Mapping[str, Any]) -> TestSuite:
-    suite = TestSuite(
-        payload["model"],
-        payload.get("label", "union"),
-        payload.get("exact_symmetry", True),
-    )
-    for item in payload["tests"]:
-        test, witness, axioms = entry_from_dict(item)
-        suite.add(test, witness, axioms)
-    return suite
-
-
 def result_to_payload(result: SynthesisResult) -> dict[str, Any]:
     """Full wire form of a :class:`SynthesisResult` (suites included)."""
     return {
@@ -415,10 +364,10 @@ def result_to_payload(result: SynthesisResult) -> dict[str, Any]:
         "axiom_seconds": dict(result.axiom_seconds),
         "oracle": dict(result.oracle_stats),
         "per_axiom": {
-            name: _suite_to_payload(suite)
+            name: suite.to_dict()
             for name, suite in result.per_axiom.items()
         },
-        "union": _suite_to_payload(result.union),
+        "union": result.union.to_dict(),
     }
 
 
@@ -427,10 +376,10 @@ def result_from_payload(payload: Mapping[str, Any]) -> SynthesisResult:
         model_name=payload["model"],
         bound=payload["bound"],
         per_axiom={
-            name: _suite_from_payload(item)
+            name: TestSuite.from_dict(item)
             for name, item in payload["per_axiom"].items()
         },
-        union=_suite_from_payload(payload["union"]),
+        union=TestSuite.from_dict(payload["union"]),
         candidates=payload.get("candidates", 0),
         unique_candidates=payload.get("unique_candidates", 0),
         minimal_tests=payload.get("minimal_tests", 0),

@@ -22,8 +22,8 @@ Operations (request payload → response envelopes):
 op         extra payload fields                   response envelopes
 =========  =====================================  ======================
 submit     ``request`` (synthesis-request          job-status; with
-           payload), optional ``client`` (str),    ``wait`` then
-           ``wait`` (bool), ``timeout`` (s)        job-progress...,
+           payload), optional ``wait`` (bool),     ``wait`` then
+           ``timeout`` (s)                         job-progress...,
                                                    job-result
 status     ``job_id``                              job-status
 result     ``job_id``, optional ``timeout`` (s)    job-progress...,
@@ -40,10 +40,7 @@ Waiting on a job is one exchange, whichever op asks for it: the job's
 on the asking connection — a client renders live progress without
 polling, and ``result`` on a finished job replays its recorded events.
 ``timeout`` bounds the whole wait, measured once by the server; when it
-expires the exchange ends with a ``service-error``.  ``client`` names the
-submitter for the per-client queue quota; an over-quota submission
-answers with a ``service-error`` envelope whose ``code`` is
-``"quota-exceeded"``.
+expires the exchange ends with a ``service-error``.
 
 Shutdown closes the manager first: queued jobs are cancelled and
 running ones fail, so every waiting exchange ends with a terminal
@@ -66,7 +63,6 @@ from repro.service.protocol import (
     SERVICE_METRICS_SCHEMA_NAME,
     WIRE_SCHEMA_NAME,
     JobProgress,
-    QuotaExceededError,
     SynthesisRequest,
     envelope,
     error_envelope,
@@ -117,9 +113,7 @@ async def _op_submit(
     if not isinstance(raw, dict):
         raise ValueError("submit needs a 'request' payload")
     request = SynthesisRequest.from_payload(raw)
-    job, deduped = manager.submit(
-        request, client=str(payload.get("client", "anonymous"))
-    )
+    job, deduped = manager.submit(request)
     status = manager.status(job.job_id)
     assert status is not None
     head = status.to_report()
@@ -188,9 +182,9 @@ async def handle_request(
     """Answer one wire request line with its response envelopes.
 
     Never raises: malformed lines, unknown ops, and operation failures
-    (an unknown job, an expired wait, a quota rejection, a closed
-    manager) all end the answer with a ``service-error`` envelope, so
-    one bad client cannot take a connection handler down.
+    (an unknown job, an expired wait, a closed manager) all end the
+    answer with a ``service-error`` envelope, so one bad client cannot
+    take a connection handler down.
     """
     try:
         document = json.loads(line.decode("utf-8"))
@@ -222,8 +216,6 @@ async def handle_request(
     try:
         async for response in handler(manager, payload):
             yield response
-    except QuotaExceededError as exc:
-        yield error_envelope(str(exc), code=exc.code)
     # TimeoutError: an expired wait; OverflowError: a timeout too large to
     # wait on; RuntimeError: manager closed mid-shutdown
     except (ValueError, TypeError, TimeoutError, OverflowError, RuntimeError) as exc:

@@ -1,0 +1,90 @@
+"""Golden union-suite digests for every registered model.
+
+Each digest is the sha256 of ``TestSuite.to_json()`` of the union suite
+that ``synthesize(model, SynthesisOptions(bound=B))`` returns: the
+default (explicit) oracle and the model's default enumeration config,
+which for ``sc_vmem``/``tso_vmem`` includes one virtual-to-physical
+alias.  A suite is byte-identical across oracle, ``jobs``, cache state
+and refactors, so a changed digest is a changed product, never noise.
+
+Bound 2 pins all 11 models; bound 3 pins the models whose bound-3 run
+takes a few seconds at most.  armv8, rvwmo and opencl (about 5 s each)
+and c11 (about a minute) join at bound 3 once the enumerator stops
+copying its unit pool per work item; ``bench/golden.json`` keeps
+pinning armv8:3 and tso:3/4/5 for ``pytest bench``.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.analysis import lint_trace_dir
+from repro.core.synthesis import SynthesisOptions, synthesize
+from repro.models.registry import available_models, get_model
+from repro.obs import summarize_trace_dir
+
+GOLDEN = {
+    "armv7:2": "adac57922f6ce956f44593bf028df21dc4bf993c5c869ddb6e182239caadfb9a",
+    "armv8:2": "7588628363525ce133cc214fc8bde7b7451d735af91c52388a157ff8e60a1526",
+    "c11:2": "98b3bdc019a85b974f44ba79f69a2675d1feaf13bf6e4b0e665d0698a876c25e",
+    "opencl:2": "2220cde46df6d265516f37aa69bb1516351583983c936008763be3cb1b7658c1",
+    "power:2": "fda0882893db1e0ff6070cd3326b937459206ab8198df26bc5289001e45c11a6",
+    "rvwmo:2": "78eea46498a4111d81d172228900b4c76f1c7369b38769b03f63876c13ca931f",
+    "sc:2": "5d1af29e28577bb2ebcab3ac2e9a1e36b2b28808b18b13626be78203bb1e2900",
+    "sc_vmem:2": "e9cf8bfdcbfd5706398aa9b8b72c9ce4737f7f341824cd639d0a18cc075d2bb6",
+    "scc:2": "073027242938e0e56c988a622cabc421507892922140aa59b775ef05ce0122b3",
+    "tso:2": "d4903aae5498e7859e5caea631a7c643cb7d3a5bebc615db30a519d05eb5895c",
+    "tso_vmem:2": "8057c86a2602ae7dcd12396ba3f85b6780288ec72d08933880e96832df433e03",
+    "sc:3": "00cb71fd70f1997efd31e7994dd5333e0ad2a317add4a710b00d60bf9d567f0b",
+    "tso:3": "8e422b01a06278fe459501b9570aa493e69ae0c0aa476c03f06ecc0e74d4d433",
+    "scc:3": "07314e42481cf6a8081b744270c179d8c7b66b24fa4e51aadd9818d19bae0ade",
+    "armv7:3": "7ffa9e8b5633be1b7c1902ecf2cc9d4327e6cbef63738b5329b6047d582cdf3a",
+    "power:3": "adf9b977fc36d47c90ca85939c08236ce8c289b57c882a8781f299dcb676c98a",
+    "sc_vmem:3": "28fda7aba481dd8da0d4af2f9473031b91a69787a59eb9c96a86dab4bf791c91",
+    "tso_vmem:3": "64990cda610f9d36e053afe7c2c23cd217944571bdfcc6bc150821cb3d22a8d1",
+}
+
+BENCH_GOLDEN = Path(__file__).resolve().parents[2] / "bench" / "golden.json"
+
+
+def union_digest(result) -> str:
+    return hashlib.sha256(result.union.to_json().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("key", list(GOLDEN))
+def test_union_suite_matches_its_digest(key):
+    model, bound = key.split(":")
+    result = synthesize(get_model(model), SynthesisOptions(bound=int(bound)))
+    assert len(result.union) > 0
+    assert union_digest(result) == GOLDEN[key]
+
+
+def test_every_registered_model_is_pinned():
+    pinned = {key.split(":")[0] for key in GOLDEN if key.endswith(":2")}
+    assert pinned == set(available_models())
+
+
+def test_digests_shared_with_the_bench_agree():
+    bench = json.loads(BENCH_GOLDEN.read_text(encoding="utf-8"))["suites"]
+    shared = sorted(set(GOLDEN) & set(bench))
+    assert shared
+    for key in shared:
+        assert GOLDEN[key] == bench[key], key
+
+
+def test_sharded_traced_vmem_run_matches_its_digest(tmp_path):
+    # jobs > 1 fans the enhanced candidate stream out to shard children;
+    # tracing observes it without changing the suite
+    trace_dir = str(tmp_path)
+    result = synthesize(
+        get_model("sc_vmem"),
+        SynthesisOptions(bound=3, jobs=2, trace_dir=trace_dir),
+    )
+    assert union_digest(result) == GOLDEN["sc_vmem:3"]
+    assert list(lint_trace_dir(trace_dir)) == []
+    phases = summarize_trace_dir(trace_dir)["phases"]
+    assert phases
+    for phase in phases:
+        assert isinstance(phase.get("wall"), (int, float)), phase

@@ -3,6 +3,7 @@
 from repro.core.suite import TestSuite
 from repro.litmus.catalog import CATALOG
 from repro.litmus.events import Order, read, write
+from repro.litmus.execution import remap_outcome
 from repro.litmus.test import LitmusTest
 
 
@@ -120,6 +121,22 @@ class TestSerialization:
         loaded = self.roundtrip(suite)
         assert loaded.model_name == "tso"
         assert next(iter(loaded)).axioms == {"causality", "sc_per_loc"}
+
+    def test_greedy_suite_round_trips_its_canonicalizer(self):
+        # The greedy canonicalizer keeps WWC and its P1/P2-swapped twin
+        # apart; a reload that fell back to the exact one merged them.
+        test, witness = entry("WWC")
+        p0, p1, p2 = test.threads
+        twin = LitmusTest((p0, p2, p1))
+        swap = {0: 0, 1: 3, 2: 4, 3: 1, 4: 2}
+        suite = TestSuite("tso", exact_symmetry=False)
+        suite.add(test, witness, ["causality"])
+        suite.add(twin, remap_outcome(witness, swap, {0: 0, 1: 1}), ["causality"])
+        assert len(suite) == 2
+        loaded = self.roundtrip(suite)
+        assert not loaded.exact_symmetry
+        assert len(loaded) == 2
+        assert loaded.to_json() == suite.to_json()
 
     def test_save_load(self, tmp_path):
         suite = TestSuite("tso")

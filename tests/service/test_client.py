@@ -12,11 +12,7 @@ import threading
 import pytest
 
 from repro.service.client import Client, ServiceError
-from repro.service.protocol import (
-    SERVICE_INFO_SCHEMA_NAME,
-    envelope,
-    error_envelope,
-)
+from repro.service.protocol import SERVICE_INFO_SCHEMA_NAME, envelope
 
 
 class OneShotServer:
@@ -71,14 +67,6 @@ class TestClientEnvelopeReader:
             Client(socket_path, timeout=10).call("ping")
         server.join()
         assert json.loads(server.request)["payload"]["op"] == "ping"
-
-    def test_coded_service_error_keeps_its_code(self, socket_path):
-        reply = _line(error_envelope("queue full", code="quota-exceeded"))
-        server = OneShotServer(socket_path, reply=reply)
-        with pytest.raises(ServiceError, match="queue full") as info:
-            Client(socket_path, timeout=10).call("submit")
-        server.join()
-        assert info.value.code == "quota-exceeded"
 
     def test_call_returns_the_first_envelope_and_closes(self, socket_path):
         reply = _line(envelope(SERVICE_INFO_SCHEMA_NAME, 1, {"ok": True}))

@@ -1,5 +1,5 @@
-"""Job queue lifecycle: submit → status → result, dedup, cancel, recycle,
-shutdown."""
+"""Job queue lifecycle: submit → status → result, dedup, cancel, warm
+checkers across jobs, shutdown."""
 
 import multiprocessing
 import sys
@@ -212,28 +212,6 @@ class TestCancel:
 
 
 class TestRecycling:
-    def test_worker_recycles_mid_queue(self, tmp_path):
-        request = tiny_request(oracle="relational")
-        manager = JobManager(
-            workers=1,
-            recycle_after=1,
-            cnf_cache_dir=str(tmp_path / "cnf"),
-        )
-        try:
-            for _ in range(3):
-                job, _ = manager.submit(request)
-                assert (
-                    manager.result(job.job_id, timeout=60).state
-                    == JobState.DONE.value
-                )
-            metrics = manager.metrics()
-            assert metrics["worker_recycles"] == 3
-            # every job rebuilt its checker (recycled before reuse)
-            assert metrics["worker_warm_hits"] == 0
-            assert metrics["worker_warm_misses"] == 3
-        finally:
-            manager.close()
-
     def test_warm_checker_reused_without_recycling(self):
         request = tiny_request(oracle="relational")
         with JobManager(workers=1) as manager:
@@ -245,20 +223,19 @@ class TestRecycling:
             assert metrics["worker_warm_misses"] == 1
 
     def test_recycled_worker_hits_disk_cnf_cache(self, tmp_path):
-        """The restart-survival story: recycling drops the in-memory
-        caches, so the next job re-reads compiled CNF from disk and
-        reports a nonzero compile hit rate over warm entries."""
+        """The restart-survival story: closing a worker drops its child
+        and every in-memory cache, so the next job's fresh child re-reads
+        compiled CNF from disk and reports a nonzero compile hit rate
+        over warm entries."""
         request = tiny_request(oracle="relational")
-        manager = JobManager(
-            workers=1,
-            recycle_after=1,
-            cnf_cache_dir=str(tmp_path / "cnf"),
-        )
+        manager = JobManager(workers=1, cnf_cache_dir=str(tmp_path / "cnf"))
         try:
             first, _ = manager.submit(request)
             cold = manager.result(first.job_id, timeout=60).result
             assert cold.oracle_stats["compile_misses"] > 0
             assert cold.oracle_stats["compile_hits"] == 0
+            # the worker thread is idle once the job is terminal
+            manager.workers[0].close()
 
             second, _ = manager.submit(request)
             warm = manager.result(second.job_id, timeout=60).result

@@ -1,6 +1,6 @@
 """The process-backed worker pool: byte-identity across worker and job
-counts, streamed progress events, per-client quotas, mid-job child
-death, and interpreter exit without an explicit close."""
+counts, streamed progress events, mid-job child death, and interpreter
+exit without an explicit close."""
 
 import asyncio
 import contextlib
@@ -30,7 +30,6 @@ from repro.service.pool import ResidentWorker
 from repro.service.protocol import (
     JobProgress,
     JobState,
-    QuotaExceededError,
     SynthesisRequest,
     result_from_payload,
     result_to_payload,
@@ -44,8 +43,8 @@ def tiny_request(bound: int = 2, **knobs) -> SynthesisRequest:
 
 
 class BlockingStub:
-    """In-process stub worker that parks until released — quota tests
-    need a deterministically wedged queue."""
+    """In-process stub worker that parks until released, so a job stays
+    running deterministically."""
 
     index = 0
 
@@ -201,69 +200,7 @@ class TestProgressEvents:
             assert manager.jobs()[0].progress_events == len(events)
 
 
-# -- per-client queue quotas ---------------------------------------------------
-
-
-class TestClientQuota:
-    def test_quota_counts_queued_jobs_per_client(self):
-        stub = BlockingStub()
-        manager = JobManager(
-            workers=1,
-            worker_factory=lambda i: stub,
-            max_queued_per_client=1,
-        )
-        try:
-            running, _ = manager.submit(tiny_request(bound=2), client="alice")
-            assert stub.started.wait(10)  # alice: 1 running, 0 queued
-            queued, _ = manager.submit(tiny_request(bound=3), client="alice")
-            with pytest.raises(QuotaExceededError) as excinfo:
-                manager.submit(tiny_request(bound=4), client="alice")
-            assert excinfo.value.code == "quota-exceeded"
-            # dedup-coalesced submissions add no queue entry, so they
-            # are never rejected
-            again, deduped = manager.submit(
-                tiny_request(bound=3), client="alice"
-            )
-            assert deduped and again.job_id == queued.job_id
-            # other clients have their own budget
-            other, deduped = manager.submit(
-                tiny_request(bound=4), client="bob"
-            )
-            assert not deduped and other.job_id != queued.job_id
-            assert manager.metrics()["quota_rejections"] == 1
-        finally:
-            stub.release.set()
-            manager.close()
-
-    def test_quota_rejection_crosses_the_wire_with_code(self, tmp_path):
-        stub = BlockingStub()
-        manager = JobManager(
-            workers=1,
-            worker_factory=lambda i: stub,
-            max_queued_per_client=1,
-        )
-        with daemon(manager, tmp_path) as client:
-            client.submit(tiny_request(bound=2), client="alice")
-            assert stub.started.wait(10)
-            client.submit(tiny_request(bound=3), client="alice")
-            with pytest.raises(ServiceError) as excinfo:
-                client.submit(tiny_request(bound=4), client="alice")
-            assert excinfo.value.code == "quota-exceeded"
-            # the waiting exchange reports the same typed error
-            with pytest.raises(ServiceError) as excinfo:
-                list(
-                    client.stream(
-                        "submit",
-                        request=tiny_request(bound=5).to_payload(),
-                        wait=True,
-                        client="alice",
-                    )
-                )
-            assert excinfo.value.code == "quota-exceeded"
-            stub.release.set()
-
-
-# -- recycling and child death -------------------------------------------------
+# -- warm counters and child death --------------------------------------------
 
 
 def _crash_setup(payload):
@@ -373,27 +310,6 @@ class TestResidentProcess:
 
 
 class TestProcessRecycling:
-    def test_pool_recycles_by_restarting_children(self, tmp_path):
-        request = tiny_request(oracle_spec=OracleSpec(oracle="relational"))
-        manager = JobManager(
-            workers=1,
-            recycle_after=1,
-            cnf_cache_dir=str(tmp_path / "cnf"),
-        )
-        try:
-            for _ in range(2):
-                job, _ = manager.submit(request)
-                result = manager.result(job.job_id, timeout=120)
-                assert result.state == JobState.DONE.value
-            metrics = manager.metrics()
-            assert metrics["worker_recycles"] == 2
-            # each child started cold — and the parent-side counters
-            # survived both restarts
-            assert metrics["worker_warm_hits"] == 0
-            assert metrics["worker_warm_misses"] == 2
-        finally:
-            manager.close()
-
     def test_warm_counters_accumulate_without_recycling(self, tmp_path):
         request = tiny_request(oracle_spec=OracleSpec(oracle="relational"))
         manager = JobManager(workers=1, cnf_cache_dir=str(tmp_path / "cnf"))

@@ -9,6 +9,7 @@ import pytest
 
 import repro
 import repro.analysis
+import repro.service.protocol
 
 
 class TestPublicAPI:
@@ -66,7 +67,9 @@ class TestPublicAPI:
         # SynthesisOptions.progress and CampaignOptions.oracle_spec; 1.6
         # removed the lint-based candidate filter with its public names;
         # 1.8 removed the interval abstract interpreter and the
-        # repro.analysis.flow package (the lints read the translator).
+        # repro.analysis.flow package (the lints read the translator);
+        # 1.9 removed the daemon's per-client queue quota and, with it,
+        # the wire error code ServiceError carried.
         synthesis = (repro.SynthesisOptions, {"bound": 3})
         spec = (repro.OracleSpec, {})
         campaign = (repro.CampaignOptions, {"model": "tso"})
@@ -90,6 +93,10 @@ class TestPublicAPI:
             (repro.analysis, "early_reject"),
             (repro.analysis, "application_counts"),
             (repro.analysis, "flow"),
+            (repro, "QuotaExceededError"),
+            (repro.service, "QuotaExceededError"),
+            (repro.service.protocol, "QuotaExceededError"),
+            (repro.ServiceError("gone"), "code"),
         ):
             assert not hasattr(module, name), name
         with pytest.raises(ModuleNotFoundError):

@@ -142,7 +142,6 @@ class TestCLIOptionErrors:
             ("submit --model tso --bound 0 --server /nonexistent.sock", "bound"),
             ("compare --model tso --bound 0", "bound"),
             (f"{SERVE} --pool-workers 0", "workers"),
-            (f"{SERVE} --max-queued-per-client -1", "max_queued_per_client"),
             (
                 "synthesize --model tso --bound 2 --axiom nope --jobs 1",
                 "unknown axiom 'nope'",
@@ -158,7 +157,6 @@ class TestCLIOptionErrors:
             "submit-bound",
             "compare-bound",
             "serve-pool-workers",
-            "serve-max-queued-per-client",
             "axiom-jobs1",
             "axiom-jobs2",
         ],
@@ -295,6 +293,21 @@ class TestCLILint:
         with pytest.raises(SystemExit):
             main([command, "--help"])
         assert "--early-reject" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flag", ["--workers", "--recycle-after", "--max-queued-per-client"]
+    )
+    def test_removed_serve_flags_are_gone(self, capsys, flag):
+        # 1.9 removed worker recycling, per-client quotas and the
+        # pre-1.2 spelling of --pool-workers
+        argv = ["serve", "--socket", "/nonexistent/repro.sock", "--no-cnf-cache"]
+        with pytest.raises(SystemExit) as info:
+            main([*argv, flag, "1"])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["serve", "--help"])
+        assert flag not in capsys.readouterr().out
 
 
 class TestCLIDifftest:
