@@ -34,6 +34,15 @@ expensive early partitions across shards).  The union of all shards
 yields the same candidates in the same within-shard relative order as the
 unsharded stream — :mod:`repro.exec` exploits this to merge parallel
 results back into the sequential order.
+
+There is one work item per unit of a thread-unit pool, so an item must
+not cost the size of its pool: pinning a one-thread first group copies
+nothing (see :func:`_unit_selections`).  What a shard then pays up front
+is building the pools themselves (:func:`thread_units`, one per thread
+size).  :func:`enumerate_shard` takes a ``pools`` mapping so that one
+process builds each pool once for every shard it runs:
+:mod:`repro.exec.runtime` keeps one mapping per worker child (or per
+in-process run), and it lives no longer than the run.
 """
 
 from __future__ import annotations
@@ -342,6 +351,7 @@ def enumerate_shard(
     vocab: Vocabulary,
     config: EnumerationConfig,
     shard: tuple[int, int] | None = None,
+    pools: dict[int, list[ThreadUnit]] | None = None,
 ) -> Iterator[tuple[int, LitmusTest]]:
     """Like :func:`enumerate_tests`, but yields ``(item, test)`` pairs.
 
@@ -351,6 +361,11 @@ def enumerate_shard(
     stream in a deterministic order, so sorting shard outputs by
     ``(item, position-within-item)`` reconstructs the exact sequential
     enumeration order — the property :mod:`repro.exec`'s merge relies on.
+
+    ``pools`` maps a thread size to its :func:`thread_units` pool for
+    this ``vocab`` and ``config``; a missing pool is built and added.
+    Passing one mapping to every shard of a run builds each pool once;
+    without one, the shard builds its own.
     """
     if shard is not None:
         shard_index, shard_count = shard
@@ -360,7 +375,8 @@ def enumerate_shard(
             raise ValueError(
                 f"shard index {shard_index} out of range for {shard_count} shards"
             )
-    unit_pool: dict[int, list[ThreadUnit]] = {}
+    if pools is None:
+        pools = {}
     item = -1
     for n in range(config.min_events, config.max_events + 1):
         cap = (
@@ -371,14 +387,14 @@ def enumerate_shard(
         for sizes in _partitions(n, config.max_threads, cap):
             groups = _group_sizes(sizes)
             first_size = groups[0][0]
-            if first_size not in unit_pool:
-                unit_pool[first_size] = thread_units(first_size, vocab, config)
-            for first_index in range(len(unit_pool[first_size])):
+            if first_size not in pools:
+                pools[first_size] = thread_units(first_size, vocab, config)
+            for first_index in range(len(pools[first_size])):
                 item += 1
                 if shard is not None and item % shard_count != shard_index:
                     continue
                 for selection in _unit_selections(
-                    groups, unit_pool, vocab, config, first_index
+                    groups, pools, vocab, config, first_index
                 ):
                     if config.max_rmws and sum(len(u.rmw) for u in selection) > config.max_rmws:
                         continue
@@ -454,21 +470,27 @@ def _unit_selections(
     unit_pool: dict[int, list[ThreadUnit]],
     vocab: Vocabulary,
     config: EnumerationConfig,
-    first_index: int | None = None,
+    first_index: int,
 ) -> Iterator[tuple[ThreadUnit, ...]]:
     """Thread-unit multisets for each size group.
 
     ``first_index`` pins the first group's first unit to that pool index;
     splitting ``combinations_with_replacement`` on its lead element this
     way preserves the overall lexicographic order, which is what makes
-    the work-item ordinals in :func:`enumerate_shard` stable.
+    the work-item ordinals in :func:`enumerate_shard` stable.  Only a
+    group of several threads ranges over the pool's tail; a one-thread
+    group is just the pinned unit, so its item never copies the pool.
     """
     per_group: list = []
     for gi, (size, count) in enumerate(groups):
         if size not in unit_pool:
             unit_pool[size] = thread_units(size, vocab, config)
         pool = unit_pool[size]
-        if gi == 0 and first_index is not None:
+        if gi > 0:
+            per_group.append(combinations_with_replacement(pool, count))
+        elif count == 1:
+            per_group.append([(pool[first_index],)])
+        else:
             first = pool[first_index]
             per_group.append(
                 [
@@ -478,8 +500,6 @@ def _unit_selections(
                     )
                 ]
             )
-        else:
-            per_group.append(combinations_with_replacement(pool, count))
     for combo in product(*per_group):
         yield tuple(u for group in combo for u in group)
 

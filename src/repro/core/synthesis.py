@@ -40,7 +40,7 @@ from repro.obs import (
     use_registry,
 )
 from repro.core.canonical import canonical_form
-from repro.core.enumerator import EnumerationConfig, enumerate_shard
+from repro.core.enumerator import EnumerationConfig, ThreadUnit, enumerate_shard
 from repro.core.minimality import CriterionMode, MinimalityChecker
 from repro.core.suite import outcome_to_dict, test_to_dict
 
@@ -466,6 +466,7 @@ def synthesize_shard(
     opts: SynthesisOptions,
     checker: MinimalityChecker,
     shard: tuple[int, int] = (0, 1),
+    pools: dict[int, list[ThreadUnit]] | None = None,
 ) -> dict:
     """The synthesis loop over one shard of the candidate stream.
 
@@ -489,7 +490,10 @@ def synthesize_shard(
     by it reconstructs the unsharded candidate order, which is what lets
     :mod:`repro.exec.merge` produce byte-identical suites.  ``oracle``
     is this shard's share of ``checker``'s counters (a resident checker
-    persists across shards and runs).  ``opts.progress_events`` hears
+    persists across shards and runs).  ``pools`` is the enumerator's
+    thread-unit pool mapping (see
+    :func:`~repro.core.enumerator.enumerate_shard`), shared by the
+    shards one process runs.  ``opts.progress_events`` hears
     every 1000th candidate; with ``opts.trace_dir`` the shard streams a
     span + counters trace to ``shard-NNNN.jsonl``.
     """
@@ -503,6 +507,7 @@ def synthesize_shard(
             model.vocabulary,
             opts.resolved_config(model),
             shard=shard,
+            pools=pools,
         )
     events = opts.progress_events
     axiom_seconds = {name: 0.0 for name in axiom_names}

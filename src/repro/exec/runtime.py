@@ -15,6 +15,13 @@ dispatches to, for every option set:
 
 The merged result is byte-identical for every job and shard count —
 parallelism, resume and tracing are pure wall-clock concerns.
+
+Each worker child (or, for ``jobs=1``, this process) sets up once per
+run and keeps two things across the shards it runs: its minimality
+checker, with the oracle's warm caches, and the enumerator's
+thread-unit pools, so each pool is built once per child instead of once
+per shard.  The pools never outlive the run; only a resident checker
+passed in for ``jobs=1`` does.
 """
 
 from __future__ import annotations
@@ -49,19 +56,23 @@ __all__ = ["run_sharded"]
 #
 # Module-level so the task pickles by reference into child processes.
 # The payload is ``(model, opts, checker, shard_count)``; the checker is a
-# resident one only in process, and each child builds its own once.
+# resident one only in process, and each child builds its own once.  The
+# state adds the child's thread-unit pool mapping, filled by its first
+# shard and read by the rest.
 
 
 def _setup(payload: tuple) -> tuple:
     model, opts, checker, shard_count = payload
     if checker is None:
         checker = build_checker(model, opts.mode, opts.oracle_spec)
-    return model, opts, checker, shard_count
+    return model, opts, checker, shard_count, {}
 
 
 def _work(state: tuple, index: int, emit: object) -> dict:
-    model, opts, checker, shard_count = state
-    return synthesize_shard(model, opts, checker, shard=(index, shard_count))
+    model, opts, checker, shard_count, pools = state
+    return synthesize_shard(
+        model, opts, checker, shard=(index, shard_count), pools=pools
+    )
 
 
 def run_sharded(

@@ -20,7 +20,9 @@ __all__ = ["plan_shards", "DEFAULT_SHARDS_PER_JOB"]
 
 #: shards allocated per worker process when the caller does not pin a
 #: total — enough granularity for balance and resume without drowning in
-#: per-shard overhead (each shard re-walks the cheap enumeration prefix).
+#: per-shard overhead (each shard counts through every work-item ordinal
+#: to find its own; the thread-unit pools are built once per worker
+#: child, not per shard).
 DEFAULT_SHARDS_PER_JOB = 4
 
 

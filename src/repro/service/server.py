@@ -35,6 +35,11 @@ ping       —                                       service-info
 shutdown   —                                       service-info
 =========  =====================================  ======================
 
+Any other payload field (a misspelled ``wiat``, the ``client`` field
+removed in 1.9) is refused with a ``service-error`` that names it, as
+:meth:`~repro.service.protocol.SynthesisRequest.from_payload` refuses
+unknown option fields.
+
 Waiting on a job is one exchange, whichever op asks for it: the job's
 ``job-progress`` events from its first one, then its ``job-result``, all
 on the asking connection — a client renders live progress without
@@ -173,6 +178,18 @@ _OPS: dict[str, Callable[..., AsyncIterator[Report]]] = {
     "metrics": _op_metrics,
 }
 
+#: the payload fields each op accepts besides ``op`` itself
+_FIELDS: dict[str, tuple[str, ...]] = {
+    "submit": ("request", "wait", "timeout"),
+    "status": ("job_id",),
+    "result": ("job_id", "timeout"),
+    "cancel": ("job_id",),
+    "jobs": (),
+    "metrics": (),
+    "ping": (),
+    "shutdown": (),
+}
+
 
 async def handle_request(
     manager: JobManager,
@@ -200,6 +217,18 @@ async def handle_request(
         return
     payload = report.payload
     op = payload.get("op")
+    if not isinstance(op, str) or op not in _FIELDS:
+        known = ", ".join(sorted(_FIELDS))
+        yield error_envelope(f"unknown op {op!r} (known ops: {known})")
+        return
+    allowed = _FIELDS[op]
+    unknown = sorted(set(payload) - {"op", *allowed})
+    if unknown:
+        yield error_envelope(
+            f"unknown {op} fields {unknown} "
+            f"(allowed: {', '.join(allowed) or 'none'})"
+        )
+        return
     if op == "ping":
         yield envelope(SERVICE_INFO_SCHEMA_NAME, 1, {"ok": True, "op": "ping"})
         return
@@ -208,13 +237,8 @@ async def handle_request(
             stop.set()
         yield envelope(SERVICE_INFO_SCHEMA_NAME, 1, {"ok": True, "op": "shutdown"})
         return
-    handler = _OPS.get(op)
-    if handler is None:
-        known = ", ".join(sorted([*_OPS, "ping", "shutdown"]))
-        yield error_envelope(f"unknown op {op!r} (known ops: {known})")
-        return
     try:
-        async for response in handler(manager, payload):
+        async for response in _OPS[op](manager, payload):
             yield response
     # TimeoutError: an expired wait; OverflowError: a timeout too large to
     # wait on; RuntimeError: manager closed mid-shutdown

@@ -7,11 +7,10 @@ which for ``sc_vmem``/``tso_vmem`` includes one virtual-to-physical
 alias.  A suite is byte-identical across oracle, ``jobs``, cache state
 and refactors, so a changed digest is a changed product, never noise.
 
-Bound 2 pins all 11 models; bound 3 pins the models whose bound-3 run
-takes a few seconds at most.  armv8, rvwmo and opencl (about 5 s each)
-and c11 (about a minute) join at bound 3 once the enumerator stops
-copying its unit pool per work item; ``bench/golden.json`` keeps
-pinning armv8:3 and tso:3/4/5 for ``pytest bench``.
+Bound 2 and bound 3 both pin all 11 models.  The bound-3 runs take
+about 10 s together on a 2-CPU machine, c11 (about 5 s) the longest;
+``bench/golden.json`` pins armv8:3 and tso:3/4/5 for ``pytest bench``,
+and the two files must agree on every key they share.
 """
 
 import hashlib
@@ -44,6 +43,10 @@ GOLDEN = {
     "power:3": "adf9b977fc36d47c90ca85939c08236ce8c289b57c882a8781f299dcb676c98a",
     "sc_vmem:3": "28fda7aba481dd8da0d4af2f9473031b91a69787a59eb9c96a86dab4bf791c91",
     "tso_vmem:3": "64990cda610f9d36e053afe7c2c23cd217944571bdfcc6bc150821cb3d22a8d1",
+    "armv8:3": "0761d2caa1c2cd90ebc0b640b7fc7f486c62970547311a79b1c0e3b0b442425a",
+    "rvwmo:3": "bd1801973c96d8644143c4a5addb712c194cb555b95ea6db79c2bd39d589708c",
+    "opencl:3": "defcf9b82a8fc043570f0861fe7c87b110540ca7ac417683198f6dad5d363e31",
+    "c11:3": "8ae62686a4ba82e0f6afaa9dee961398421dc47c436c4df4e1a848eeb0536b65",
 }
 
 BENCH_GOLDEN = Path(__file__).resolve().parents[2] / "bench" / "golden.json"
@@ -62,8 +65,9 @@ def test_union_suite_matches_its_digest(key):
 
 
 def test_every_registered_model_is_pinned():
-    pinned = {key.split(":")[0] for key in GOLDEN if key.endswith(":2")}
-    assert pinned == set(available_models())
+    for bound in (2, 3):
+        pinned = {key.split(":")[0] for key in GOLDEN if key.endswith(f":{bound}")}
+        assert pinned == set(available_models()), bound
 
 
 def test_digests_shared_with_the_bench_agree():

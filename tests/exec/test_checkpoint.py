@@ -124,10 +124,10 @@ class TestCheckpoint:
         ckpt = str(tmp_path / "ck")
         real_shard = runtime.synthesize_shard
 
-        def dying_shard(model, opts, checker, shard):
+        def dying_shard(model, opts, checker, shard, pools):
             if shard[0] == 5:  # dispatched once four shards have finished
                 os.kill(os.getpid(), signal.SIGKILL)
-            return real_shard(model, opts, checker, shard=shard)
+            return real_shard(model, opts, checker, shard=shard, pools=pools)
 
         monkeypatch.setattr(runtime, "synthesize_shard", dying_shard)
         with pytest.raises(WorkerDied):
@@ -137,9 +137,9 @@ class TestCheckpoint:
 
         ran: list[int] = []
 
-        def counting_shard(model, opts, checker, shard):
+        def counting_shard(model, opts, checker, shard, pools):
             ran.append(shard[0])
-            return real_shard(model, opts, checker, shard=shard)
+            return real_shard(model, opts, checker, shard=shard, pools=pools)
 
         monkeypatch.setattr(runtime, "synthesize_shard", counting_shard)
         resumed = synthesize(tso, _options(checkpoint_dir=ckpt))

@@ -61,6 +61,23 @@ class TestShardedRuntime:
         result = synthesize(get_model("tso"), _options(jobs=2))
         assert_same_result(sequential, result)
 
+    def test_unit_pools_are_built_once_per_run(self, monkeypatch, sequential):
+        from repro.core import enumerator
+
+        built: list[int] = []
+        real = enumerator.thread_units
+
+        def counting(size, vocab, config):
+            built.append(size)
+            return real(size, vocab, config)
+
+        monkeypatch.setattr(enumerator, "thread_units", counting)
+        for _ in range(2):  # a second run builds its own pools again
+            built.clear()
+            result = synthesize(get_model("tso"), _options(shards=4))
+            assert_same_result(sequential, result)
+            assert sorted(built) == [1, 2, 3]
+
     def test_shard_count_does_not_leak_into_output(self, sequential):
         for shards in (2, 5):
             result = synthesize(

@@ -147,6 +147,23 @@ class TestWireProtocol:
         with pytest.raises(ServiceError, match="unknown op"):
             client.call("frobnicate")
 
+    def test_misspelled_field_is_service_error(self, daemon):
+        client, manager = daemon
+        request = SynthesisRequest("tso", tiny_options())
+        with pytest.raises(ServiceError, match=r"unknown submit fields \['wiat'\]"):
+            client.call("submit", request=request.to_payload(), wiat=True)
+        assert manager.jobs() == []  # refused before anything was queued
+
+    def test_every_op_refuses_the_removed_client_field(self, daemon):
+        client, _ = daemon
+        for op in (
+            "submit", "status", "result", "cancel",
+            "jobs", "metrics", "ping", "shutdown",
+        ):
+            with pytest.raises(ServiceError, match=rf"unknown {op} fields \['client'\]"):
+                client.call(op, client="alice")
+        assert client.ping()  # the refused shutdown stopped nothing
+
     def test_malformed_request_payload_is_service_error(self, daemon):
         client, _ = daemon
         with pytest.raises(ServiceError, match="model"):
@@ -274,6 +291,18 @@ class TestRawWire:
         report = load_report(doc)
         assert report.schema_name == "service-error"
         assert "service-request" in report.payload["error"]
+
+    def test_non_string_op_answers_service_error(self, daemon):
+        request = {
+            "schema": {"name": "service-request", "version": 1},
+            "tool": "litmus-synth",
+            "command": "service",
+            "payload": {"op": ["ping"]},
+        }
+        doc = self._exchange(daemon, json.dumps(request).encode() + b"\n")
+        report = load_report(doc)
+        assert report.schema_name == "service-error"
+        assert "unknown op ['ping']" in report.payload["error"]
 
     def test_every_response_is_an_envelope(self, daemon):
         client, _ = daemon
