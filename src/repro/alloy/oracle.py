@@ -35,7 +35,7 @@ from collections import OrderedDict
 from repro.alloy.cache import CNFCache
 from repro.alloy.encoding import CO, RF, SC_REL, LitmusEncoding
 from repro.alloy.models import ALLOY_MODELS
-from repro.core.oracle import TestAnalysis
+from repro.core.oracle import LRU, TestAnalysis
 from repro.litmus.execution import Execution, Outcome
 from repro.litmus.test import LitmusTest
 from repro.relational.solve import ModelFinder, compile_snapshot
@@ -231,8 +231,7 @@ class AlloyOracle:
         factory, with_sc = ALLOY_MODELS[model_name]
         self._formulas = factory()
         self.with_sc = with_sc
-        self._analysis: OrderedDict[LitmusTest, TestAnalysis] = OrderedDict()
-        self._analysis_cache = analysis_cache
+        self._analysis: LRU = LRU(analysis_cache)
         self._analyses = 0
         self._analysis_hits = 0
         self._sessions: OrderedDict[LitmusTest, _Session] = OrderedDict()
@@ -301,7 +300,7 @@ class AlloyOracle:
     def analyze(self, test: LitmusTest) -> TestAnalysis:
         """Outcome landscape via model finding (one enumeration for the
         execution space, one per axiom) — all against one warm solver."""
-        cached = self._analysis.get(test)
+        cached = self._analysis.recall(test)
         if cached is not None:
             self._analysis_hits += 1
             return cached
@@ -316,11 +315,9 @@ class AlloyOracle:
             for name in self._formulas
         }
         model_valid = self.valid_outcomes(test)
-        analysis = TestAnalysis(all_outcomes, model_valid, axiom_valid)
-        self._analysis[test] = analysis
-        if len(self._analysis) > self._analysis_cache:
-            self._analysis.popitem(last=False)
-        return analysis
+        return self._analysis.remember(
+            test, TestAnalysis(all_outcomes, model_valid, axiom_valid)
+        )
 
     def observable(self, test: LitmusTest, constraint: Outcome) -> bool:
         """Does some model-valid execution produce the (partial) outcome?"""

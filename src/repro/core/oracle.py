@@ -22,7 +22,7 @@ from repro.litmus.test import LitmusTest
 from repro.models.base import MemoryModel
 from repro.semantics.enumerate import enumerate_executions
 
-__all__ = ["TestAnalysis", "ExplicitOracle"]
+__all__ = ["TestAnalysis", "ExplicitOracle", "LRU"]
 
 
 @dataclass(frozen=True)
@@ -72,12 +72,21 @@ class _Missing:
 _MISSING = _Missing()
 
 
-class _LRU(OrderedDict):
-    """A minimal LRU mapping used for the oracle's caches."""
+class LRU(OrderedDict):
+    """A minimal LRU mapping used for the oracles' caches: a hit read
+    through :meth:`recall` and every :meth:`remember` make the key the
+    most recent, and the least recent key is evicted past ``maxsize``."""
 
     def __init__(self, maxsize: int):
         super().__init__()
         self.maxsize = maxsize
+
+    def recall(self, key):
+        """The value stored under ``key``, refreshed, or None."""
+        value = self.get(key)
+        if value is not None:
+            self.move_to_end(key)
+        return value
 
     def remember(self, key, value):
         self[key] = value
@@ -102,8 +111,8 @@ class ExplicitOracle:
         self._axioms = dict(
             model.wa_axioms() if workaround else model.axioms()
         )
-        self._analysis: _LRU = _LRU(analysis_cache)
-        self._observe: _LRU = _LRU(observe_cache)
+        self._analysis: LRU = LRU(analysis_cache)
+        self._observe: LRU = LRU(observe_cache)
         self.stats = {
             "analyses": 0,
             "analysis_hits": 0,
@@ -137,7 +146,7 @@ class ExplicitOracle:
 
     def analyze(self, test: LitmusTest) -> TestAnalysis:
         """Compute (or recall) the outcome landscape of a test."""
-        cached = self._analysis.get(test)
+        cached = self._analysis.recall(test)
         if cached is not None:
             self.stats["analysis_hits"] += 1
             return cached
@@ -174,7 +183,7 @@ class ExplicitOracle:
         recur constantly during synthesis).
         """
         key = (test, constraint)
-        cached = self._observe.get(key)
+        cached = self._observe.recall(key)
         if cached is not None:
             self.stats["observe_hits"] += 1
             return cached

@@ -90,6 +90,23 @@ class LitmusTest:
             if dep.kind is DepKind.ADDR and self.instruction(dep.dst).is_fence:
                 raise ValueError("address dependencies target memory accesses")
 
+    def __hash__(self) -> int:
+        # Oracle caches, StaticRelations.of and the canonical seen-set all
+        # key on tests, and hashing one walks every Instruction (and its
+        # Enum fields), so the hash is computed once.  Enum hashes are
+        # salted per interpreter, so it is kept out of the pickled state.
+        value = self.__dict__.get("_hash")
+        if value is None:
+            value = self.__dict__["_hash"] = hash(
+                (self.threads, self.rmw, self.deps, self.scopes, self.addr_map)
+            )
+        return value
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     def _check_addr_map(self) -> None:
         assert self.addr_map is not None
         used = {

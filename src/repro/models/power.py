@@ -19,7 +19,7 @@ from collections.abc import Mapping
 from repro.litmus.events import DepKind, FenceKind
 from repro.models.base import Axiom, MemoryModel, Vocabulary
 from repro.semantics.rel import Rel
-from repro.semantics.relations import RelationView
+from repro.semantics.relations import RelationView, derived
 
 __all__ = ["Power", "power_ppo", "power_fences", "power_prop", "power_hb"]
 
@@ -65,8 +65,13 @@ class Power(MemoryModel):
 
 
 # -- derived relations (herding cats, Section 6) --------------------------------
+#
+# Several axioms share these (``hb`` feeds ``no_thin_air``, ``observation``
+# and, through ``prop``, ``propagation``), so each is computed once per
+# execution and memoized on its view.
 
 
+@derived
 def power_ppo(v: RelationView) -> Rel:
     """Preserved program order: the ii/ic/ci/cc least fixed point."""
     dp = v.addr_dep | v.data_dep
@@ -91,6 +96,7 @@ def power_ppo(v: RelationView) -> Rel:
     return (v.R_R & ii) | (v.R_W & ic)
 
 
+@derived
 def power_fences(v: RelationView) -> Rel:
     """``sync`` orders everything; ``lwsync`` everything but W -> R."""
     sync = v.fence_rel(FenceKind.SYNC)
@@ -98,10 +104,12 @@ def power_fences(v: RelationView) -> Rel:
     return sync | lwsync
 
 
+@derived
 def power_hb(v: RelationView) -> Rel:
     return power_ppo(v) | power_fences(v) | v.rfe
 
 
+@derived
 def power_prop(v: RelationView) -> Rel:
     ffence = v.fence_rel(FenceKind.SYNC)
     fences = power_fences(v)

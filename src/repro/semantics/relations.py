@@ -12,19 +12,60 @@ dependency edges, fence helpers, event-class masks) are computed once per
 test in a shared :class:`StaticRelations` and reused by every execution's
 view — the synthesis inner loop visits hundreds of executions per test,
 so this sharing dominates throughput.
+
+Relations that depend on the *execution* are computed at most once per
+view by :class:`derived`, which a model's own derived relations (Power's
+``ppo``, ``hb`` and ``prop``, say) use too, so that every axiom of one
+execution reads the same value.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from functools import cached_property
+from collections.abc import Callable
 
 from repro.litmus.events import DepKind, EventKind, FenceKind, Order
 from repro.litmus.execution import Execution
 from repro.litmus.test import LitmusTest
 from repro.semantics.rel import Rel
 
-__all__ = ["StaticRelations", "RelationView"]
+__all__ = ["StaticRelations", "RelationView", "derived"]
+
+
+class derived:
+    """A value computed at most once per object, stored in its ``__dict__``.
+
+    As a class attribute it is a lock-free cached property: the first
+    access stores the value under the attribute's own name, which then
+    shadows the descriptor.  As a module-level decorator of a function of
+    a :class:`RelationView` (a model's derived relation), calling it
+    stores the value under the function's qualified name, so each view,
+    and so each execution, computes it once however many axioms ask.
+    Each view has its own memo; a view subclass that redefines a base
+    relation (a mutant's empty ``fr``) never sees another view's values.
+    """
+
+    def __init__(self, fn: Callable):
+        self.fn = fn
+        self.key = f"{fn.__module__}.{fn.__qualname__}"
+        self.__doc__ = fn.__doc__
+        self.__name__ = fn.__name__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.key = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.key] = self.fn(obj)
+        return value
+
+    def __call__(self, obj):
+        memo = obj.__dict__
+        value = memo.get(self.key)
+        if value is None:
+            value = memo[self.key] = self.fn(obj)
+        return value
 
 
 class StaticRelations:
@@ -63,36 +104,36 @@ class StaticRelations:
     def fences(self) -> int:
         return self.test.fences_mask
 
-    @cached_property
+    @derived
     def acquires(self) -> int:
         """Reads annotated acquire-or-stronger."""
         return self.test.mask_of(lambda i: i.is_read and i.order.is_acquire)
 
-    @cached_property
+    @derived
     def releases(self) -> int:
         """Writes annotated release-or-stronger."""
         return self.test.mask_of(lambda i: i.is_write and i.order.is_release)
 
-    @cached_property
+    @derived
     def vmem(self) -> int:
         """Transistency events (ptwalk / remap / dirty-bit)."""
         return self.test.mask_of(lambda i: i.is_vmem)
 
-    @cached_property
+    @derived
     def ptwalks(self) -> int:
         return self.test.mask_of(lambda i: i.kind is EventKind.PTWALK)
 
-    @cached_property
+    @derived
     def remaps(self) -> int:
         return self.test.mask_of(lambda i: i.kind is EventKind.REMAP)
 
-    @cached_property
+    @derived
     def dirties(self) -> int:
         return self.test.mask_of(lambda i: i.kind is EventKind.DIRTY)
 
     # -- structural relations ------------------------------------------------------
 
-    @cached_property
+    @derived
     def po(self) -> Rel:
         """Program order: each event before all later events of its thread."""
         pairs = []
@@ -102,12 +143,12 @@ class StaticRelations:
                     pairs.append((self.test.eid(tid, i), self.test.eid(tid, j)))
         return Rel.from_pairs(self.n, pairs)
 
-    @cached_property
+    @derived
     def po_imm(self) -> Rel:
         """Immediate program order (``po - po.po``)."""
         return self.po - self.po.join(self.po)
 
-    @cached_property
+    @derived
     def loc(self) -> Rel:
         """Same-location relation over memory accesses (aliased virtual
         addresses share a location, so they are ``loc``-related)."""
@@ -117,11 +158,23 @@ class StaticRelations:
             pairs += [(a, b) for a in events for b in events]
         return Rel.from_pairs(self.n, pairs)
 
-    @cached_property
+    @derived
     def po_loc(self) -> Rel:
         return self.po & self.loc
 
-    @cached_property
+    @derived
+    def loc_writes(self) -> tuple[int, ...]:
+        """Per event, the bitmask of the writes to its location (0 for
+        fences): the ``fr`` row of a read of the initial value."""
+        test = self.test
+        return tuple(
+            0
+            if inst.address is None
+            else sum(1 << w for w in test.writes_to(inst.address))
+            for inst in test.instructions
+        )
+
+    @derived
     def po_vmem(self) -> Rel:
         """Program-order edges touching a transistency event on either
         end — the ordering TransForm's translation axioms preserve."""
@@ -129,7 +182,7 @@ class StaticRelations:
             self.vmem
         )
 
-    @cached_property
+    @derived
     def int_(self) -> Rel:
         """Same-thread (internal) pairs, excluding the diagonal."""
         pairs = []
@@ -138,12 +191,12 @@ class StaticRelations:
             pairs += [(a, b) for a in eids for b in eids if a != b]
         return Rel.from_pairs(self.n, pairs)
 
-    @cached_property
+    @derived
     def ext(self) -> Rel:
         """Different-thread (external) pairs."""
         return (Rel.full(self.n) - Rel.identity(self.n)) - self.int_
 
-    @cached_property
+    @derived
     def rmw(self) -> Rel:
         return Rel.from_pairs(self.n, self.test.rmw)
 
@@ -153,24 +206,24 @@ class StaticRelations:
             ((d.src, d.dst) for d in self.test.deps if d.kind in kinds),
         )
 
-    @cached_property
+    @derived
     def addr_dep(self) -> Rel:
         return self.dep(DepKind.ADDR)
 
-    @cached_property
+    @derived
     def data_dep(self) -> Rel:
         return self.dep(DepKind.DATA)
 
-    @cached_property
+    @derived
     def ctrl_dep(self) -> Rel:
         """Control dependencies (including ctrl+isync ones)."""
         return self.dep(DepKind.CTRL, DepKind.CTRLISYNC)
 
-    @cached_property
+    @derived
     def ctrlisync_dep(self) -> Rel:
         return self.dep(DepKind.CTRLISYNC)
 
-    @cached_property
+    @derived
     def all_deps(self) -> Rel:
         return self.dep(*DepKind)
 
@@ -188,19 +241,19 @@ class StaticRelations:
             self._fence_rels[kinds] = cached
         return cached
 
-    @cached_property
+    @derived
     def W_R(self) -> Rel:
         return Rel.product(self.n, self.writes, self.reads)
 
-    @cached_property
+    @derived
     def R_R(self) -> Rel:
         return Rel.product(self.n, self.reads, self.reads)
 
-    @cached_property
+    @derived
     def R_W(self) -> Rel:
         return Rel.product(self.n, self.reads, self.writes)
 
-    @cached_property
+    @derived
     def W_W(self) -> Rel:
         return Rel.product(self.n, self.writes, self.writes)
 
@@ -348,52 +401,53 @@ class RelationView:
 
     # -- dynamic (per-execution) relations ---------------------------------------------
 
-    @cached_property
+    @derived
     def rf(self) -> Rel:
         """Reads-from: sourcing write -> read."""
-        return Rel.from_pairs(
-            self.n,
-            (
-                (src, read)
-                for read, src in self.execution.rf
-                if src is not None
-            ),
-        )
+        n = self.n
+        bits = 0
+        for read, src in self.execution.rf:
+            if src is not None:
+                bits |= 1 << (src * n + read)
+        return Rel(n, bits)
 
-    @cached_property
+    @derived
     def co(self) -> Rel:
         """Coherence: the per-address total orders, transitively closed."""
-        rel = Rel.empty(self.n)
+        n = self.n
+        bits = 0
         for order in self.execution.co:
-            rel = rel | Rel.total_order(self.n, order)
-        return rel
+            later = 0
+            for w in reversed(order):
+                bits |= later << (w * n)
+                later |= 1 << w
+        return Rel(n, bits)
 
-    @cached_property
+    @derived
     def fr(self) -> Rel:
         """From-reads, accounting for reads of the initial state.
 
         A read sourced by write ``w`` is ``fr``-before every ``co``
-        successor of ``w``; a read of the initial value is ``fr``-before
-        every write to its address (the paper's Fig. 4 alternative
-        definition of ``fr``).
+        successor of ``w`` (row ``w`` of ``co``); a read of the initial
+        value is ``fr``-before every write to its location (the paper's
+        Fig. 4 alternative definition of ``fr``).
         """
-        pairs = []
+        n = self.n
+        row = (1 << n) - 1
+        co = self.co.bits
+        loc_writes = self.static.loc_writes
+        bits = 0
         for read, src in self.execution.rf:
-            addr = self.test.instruction(read).address
-            assert addr is not None
-            if src is None:
-                pairs += [(read, w) for w in self.test.writes_to(addr)]
-            else:
-                after = self.co.rows[src]
-                pairs += [(read, w) for w in _bits(after)]
-        return Rel.from_pairs(self.n, pairs)
+            after = loc_writes[read] if src is None else (co >> (src * n)) & row
+            bits |= after << (read * n)
+        return Rel(n, bits)
 
-    @cached_property
+    @derived
     def com(self) -> Rel:
         """Communication: ``rf + co + fr``."""
         return self.rf | self.co | self.fr
 
-    @cached_property
+    @derived
     def sc(self) -> Rel:
         """Total order over SC fences (SCC Fig. 17), empty if unused.
 
@@ -410,33 +464,26 @@ class RelationView:
 
     # -- internal/external splits ----------------------------------------------------
 
-    @cached_property
+    @derived
     def rfi(self) -> Rel:
         return self.rf & self.int_
 
-    @cached_property
+    @derived
     def rfe(self) -> Rel:
         return self.rf & self.ext
 
-    @cached_property
+    @derived
     def coi(self) -> Rel:
         return self.co & self.int_
 
-    @cached_property
+    @derived
     def coe(self) -> Rel:
         return self.co & self.ext
 
-    @cached_property
+    @derived
     def fri(self) -> Rel:
         return self.fr & self.int_
 
-    @cached_property
+    @derived
     def fre(self) -> Rel:
         return self.fr & self.ext
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low

@@ -8,9 +8,12 @@ alias.  A suite is byte-identical across oracle, ``jobs``, cache state
 and refactors, so a changed digest is a changed product, never noise.
 
 Bound 2 and bound 3 both pin all 11 models.  The bound-3 runs take
-about 10 s together on a 2-CPU machine, c11 (about 5 s) the longest;
-``bench/golden.json`` pins armv8:3 and tso:3/4/5 for ``pytest bench``,
-and the two files must agree on every key they share.
+about 10 s together on a 2-CPU machine, c11 (about 5 s) the longest.
+Power at bound 4 (about 11 s) pins the explicit oracle on the model that
+spends the most per execution: its ``ppo`` fixed point, and the derived
+relations its axioms share.  ``bench/golden.json`` pins armv8:3 and
+tso:3/4/5 for ``pytest bench``, and the two files must agree on every
+key they share.
 """
 
 import hashlib
@@ -47,6 +50,7 @@ GOLDEN = {
     "rvwmo:3": "bd1801973c96d8644143c4a5addb712c194cb555b95ea6db79c2bd39d589708c",
     "opencl:3": "defcf9b82a8fc043570f0861fe7c87b110540ca7ac417683198f6dad5d363e31",
     "c11:3": "8ae62686a4ba82e0f6afaa9dee961398421dc47c436c4df4e1a848eeb0536b65",
+    "power:4": "629ffab9c3e4a0e86405d1eabbcc457c8ec655d2b731d668e57edd17d29b3c21",
 }
 
 BENCH_GOLDEN = Path(__file__).resolve().parents[2] / "bench" / "golden.json"

@@ -89,3 +89,25 @@ class TestObservable:
         for name in ("MP", "SB", "LB"):
             oracle.analyze(CATALOG[name].test)
         assert len(oracle._analysis) == 2
+
+    def test_hit_just_before_an_eviction_survives_it(self):
+        oracle = ExplicitOracle(get_model("tso"), analysis_cache=2)
+        mp, sb, lb = (CATALOG[name].test for name in ("MP", "SB", "LB"))
+        oracle.analyze(mp)
+        oracle.analyze(sb)
+        oracle.analyze(mp)  # a hit: MP is now the most recent
+        oracle.analyze(lb)  # evicts the least recent, SB
+        assert mp in oracle._analysis
+        assert sb not in oracle._analysis
+        analyses = oracle.stats["analyses"]
+        oracle.analyze(mp)
+        assert oracle.stats["analyses"] == analyses
+
+    def test_observe_hit_just_before_an_eviction_survives_it(self):
+        oracle = ExplicitOracle(get_model("tso"), observe_cache=2)
+        mp, sb, lb = (CATALOG[name].test for name in ("MP", "SB", "LB"))
+        anything = Outcome((), ())
+        for test in (mp, sb, mp, lb):
+            assert oracle.observable(test, anything)
+        assert (mp, anything) in oracle._observe
+        assert (sb, anything) not in oracle._observe

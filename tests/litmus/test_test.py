@@ -1,7 +1,14 @@
 """Unit tests for the LitmusTest representation."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.litmus.events import DepKind, FenceKind, fence, read, write
 from repro.litmus.test import Dep, LitmusTest
 
@@ -157,6 +164,45 @@ class TestValidation:
         )
         assert len(t.deps_of_kind(DepKind.DATA)) == 1
         assert len(t.deps_of_kind(DepKind.DATA, DepKind.ADDR)) == 2
+
+
+class TestHashing:
+    def test_hash_ignores_the_name(self):
+        assert hash(mp()) == hash(mp().with_name("other"))
+        assert mp() == mp().with_name("other")
+
+    def test_unpickled_test_carries_no_cached_hash(self):
+        t = mp()
+        h = hash(t)
+        clone = pickle.loads(pickle.dumps(t))
+        assert "_hash" not in clone.__dict__
+        assert clone == t
+        assert hash(clone) == h
+
+    def test_pickled_test_hashes_like_a_fresh_one_in_another_interpreter(self):
+        # Enum hashes are salted per interpreter: a hash cached here must
+        # not travel with the test into a child with another salt
+        t = mp()
+        hash(t)
+        code = (
+            "import pickle, sys\n"
+            "from repro.litmus.events import read, write\n"
+            "from repro.litmus.test import LitmusTest\n"
+            "clone = pickle.loads(sys.stdin.buffer.read())\n"
+            "fresh = LitmusTest(((write(0, 1), write(1, 1)), (read(1), read(0))))\n"
+            "print(hash(clone) == hash(fresh), clone in {fresh})\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": "20170408"}
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            input=pickle.dumps(t),
+            capture_output=True,
+            env=env,
+            check=True,
+            timeout=60,
+        )
+        assert out.stdout.decode().split() == ["True", "True"]
 
 
 class TestRendering:

@@ -111,6 +111,17 @@ class TestIncrementalEquivalence:
         assert first == again
         assert set(valid) <= set(first)
 
+    def test_analysis_hit_just_before_an_eviction_survives_it(self):
+        oracle = AlloyOracle("tso", analysis_cache=2)
+        mp, sb, lb = (CATALOG[name].test for name in ("MP", "SB", "LB"))
+        oracle.analyze(mp)
+        oracle.analyze(sb)
+        oracle.analyze(mp)  # a hit: MP is now the most recent
+        oracle.analyze(lb)  # evicts the least recent, SB
+        assert mp in oracle._analysis
+        assert sb not in oracle._analysis
+        assert oracle.as_metrics()["analyses"] == 3
+
 
 class TestModelFinderIncremental:
     def _finder(self, name="MP"):

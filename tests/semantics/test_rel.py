@@ -44,9 +44,17 @@ class TestConstruction:
     def test_total_order_empty(self):
         assert Rel.total_order(3, []).is_empty()
 
-    def test_row_count_mismatch(self):
+    def test_bits_outside_universe(self):
         with pytest.raises(ValueError):
-            Rel(2, (0,))
+            Rel(2, 1 << 4)
+        with pytest.raises(ValueError):
+            Rel(2, -1)
+        assert Rel(2, 0b1001) == Rel.identity(2)
+
+    def test_pair_bit_layout(self):
+        # bit i*n + j is the pair (i, j)
+        assert Rel.from_pairs(3, [(1, 2)]).bits == 1 << 5
+        assert Rel.from_pairs(3, [(2, 0)]).bits == 1 << 6
 
 
 class TestSetAlgebra:

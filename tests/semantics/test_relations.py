@@ -1,9 +1,11 @@
 """Unit tests for the relational view of executions."""
 
+from repro.difftest.mutate import _EmptyFrView
 from repro.litmus.events import DepKind, FenceKind, fence, read, write
 from repro.litmus.execution import Execution
 from repro.litmus.test import Dep, LitmusTest
-from repro.semantics.relations import RelationView, StaticRelations
+from repro.models.power import power_hb, power_ppo, power_prop
+from repro.semantics.relations import RelationView, StaticRelations, derived
 
 
 def view_of(test, rf=(), co=(), sc=()):
@@ -127,3 +129,51 @@ class TestDynamicRelations:
         v = view_of(t, co=((0, 1, 2),))
         assert (0, 1) in v.coi
         assert (1, 2) in v.coe
+
+
+class TestDerivedMemo:
+    def execution(self):
+        return Execution(mp(), ((2, 1), (3, None)), ((0,), (1,)))
+
+    def test_view_relation_computed_once_per_view(self):
+        v = RelationView(self.execution())
+        assert v.fr is v.fr
+        assert v.__dict__["fr"] is v.fr
+        assert RelationView(self.execution()).fr is not v.fr
+
+    def test_derived_function_computed_once_per_view(self):
+        calls = []
+
+        @derived
+        def counted(view):
+            calls.append(view)
+            return view.rf | view.co
+
+        a = RelationView(self.execution())
+        b = RelationView(self.execution())
+        assert counted(a) is counted(a)
+        assert calls == [a]
+        assert counted(b) == counted(a)
+        assert calls == [a, b]
+
+    def test_power_relations_memoized_per_view(self):
+        v = RelationView(self.execution())
+        assert power_ppo(v) is power_ppo(v)
+        assert power_hb(v) is power_hb(v)
+        assert power_prop(v) is power_prop(v)
+
+    def test_each_view_has_its_own_value(self):
+        @derived
+        def fr_and_rf(view):
+            return view.fr | view.rf
+
+        execution = self.execution()
+        for order in ("base first", "mutant first"):
+            base = RelationView(execution)
+            mutant = _EmptyFrView(execution)
+            pair = (base, mutant) if order == "base first" else (mutant, base)
+            for view in pair:
+                fr_and_rf(view)
+            assert fr_and_rf(mutant) == mutant.rf, order
+            assert fr_and_rf(base) == base.fr | base.rf, order
+            assert fr_and_rf(base) != base.rf, order
