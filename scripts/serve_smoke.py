@@ -14,8 +14,10 @@ Boots `repro.service` on a unix socket with one resident worker, then:
   streaming live progress events (at least ``start`` and ``finish``),
   then submits the same request with ``jobs=2`` (a worker fanning out
   to children of its own) and asserts the suite is byte-identical,
-* races two CPU-bound relational jobs (tso + sc) through a one-worker
-  and a two-worker daemon (fresh CNF dirs each) and asserts two workers
+* races four CPU-bound relational jobs (sc_vmem and scc one bound
+  lower, tso and sc) through a one-worker and a two-worker daemon
+  (fresh CNF dirs each; every worker's child started beforehand by a
+  small armv8 job, outside the timed window) and asserts two workers
   are at least 1.3x faster wall-clock on hosts with two or more CPUs,
   byte-identical, and that every job streamed >= 1 progress event,
 * waits on a long job (explicit-oracle power, bound 4) from a thread,
@@ -66,6 +68,11 @@ MIN_WORKER_SPEEDUP = float(os.environ.get("SERVE_SMOKE_MIN_SPEEDUP", "1.3"))
 #: a daemon must exit this many seconds after a shutdown, even with a
 #: client waiting on a running job
 SHUTDOWN_LIMIT_S = 5.0
+#: the raced jobs: four models of about 1.5-2 s each on one CPU at the
+#: default bound, longest first, so two workers split them evenly
+RACE = (("sc_vmem", BOUND - 1), ("scc", BOUND - 1), ("tso", BOUND), ("sc", BOUND))
+#: starts each worker's child before a race; raced by no job
+WARMUP_MODEL = "armv8"
 
 
 def request(
@@ -178,14 +185,18 @@ def shutdown_with_waiter(workdir: str, failures: list[str]) -> float:
 
 
 def race_workers(
-    workers: int, workdir: str, failures: list[str]
+    workers: int, workdir: str, failures: list[str], local: dict
 ) -> tuple[float, dict]:
-    """Race the tso + sc jobs through a ``workers``-worker daemon.
+    """Race the :data:`RACE` jobs through a ``workers``-worker daemon.
 
     Returns the wall-clock seconds from first submission to last result
     plus the per-job measurement block.  Each arm gets its own socket
     and a fresh CNF cache directory so both daemons do the same (cold,
-    CPU-bound) work.
+    CPU-bound) work.  Each worker's child process starts lazily on its
+    first job, so every worker first runs one small job of a model no
+    raced job uses (it warms no raced checker and no raced CNF entry),
+    and the timed window holds the raced jobs only.  ``local`` caches
+    one local union per raced model for the byte-identical check.
     """
     socket_path = os.path.join(workdir, f"repro-w{workers}.sock")
     jobs_block: dict = {}
@@ -196,18 +207,38 @@ def race_workers(
         cnf_cache_dir=os.path.join(workdir, f"cnf-w{workers}"),
     ):
         client = Client(socket_path)
-        t0 = time.perf_counter()
-        submitted = [
-            (model, client.submit(request(model=model))[0])
-            for model in ("tso", "sc")
+        # one axiom each, so no warm-up coalesces onto another; a worker
+        # that finishes its first warm-up may take the next one too, so
+        # rounds repeat until every worker has run one
+        warmups = [
+            SynthesisRequest.build(
+                WARMUP_MODEL,
+                bound=2,
+                axioms=(axiom,),
+                oracle_spec=OracleSpec(oracle="relational"),
+            )
+            for axiom in get_model(WARMUP_MODEL).axiom_names()[:workers]
         ]
-        results = {
-            model: client.result(status.job_id, timeout=600)
-            for model, status in submitted
-        }
+        warmed: set[int | None] = set()
+        for _ in range(5):
+            for status in [client.submit(warmup)[0] for warmup in warmups]:
+                client.result(status.job_id, timeout=600)
+                warmed.add(client.status(status.job_id).worker)
+            if len(warmed) == workers:
+                break
+        else:
+            failures.append(
+                f"{workers}-worker daemon: five warm-up rounds ran on "
+                f"workers {sorted(warmed)} only"
+            )
+        raced = [(model, request(bound, model)) for model, bound in RACE]
+        t0 = time.perf_counter()
+        submitted = [client.submit(req)[0] for _, req in raced]
+        results = [
+            client.result(status.job_id, timeout=600) for status in submitted
+        ]
         wall = time.perf_counter() - t0
-        for model, status in submitted:
-            result = results[model]
+        for (model, req), status, result in zip(raced, submitted, results):
             if result.state != "done":
                 failures.append(
                     f"{workers}-worker daemon: {model} job finished "
@@ -220,10 +251,9 @@ def race_workers(
                     f"{workers}-worker daemon: {model} job streamed "
                     f"{final.progress_events} progress events"
                 )
-            local = synthesize(
-                get_model(model), request(model=model).options
-            )
-            if result.result.union.to_json() != local.union.to_json():
+            if model not in local:
+                local[model] = synthesize(get_model(model), req.options).union
+            if result.result.union.to_json() != local[model].to_json():
                 failures.append(
                     f"{workers}-worker daemon: {model} union differs "
                     "from local run"
@@ -322,8 +352,9 @@ def main() -> int:
             failures.append("jobs=2 daemon union differs from local run")
 
     # --- one worker vs two on a concurrent workload --------------------
-    one_wall, one_jobs = race_workers(1, workdir, failures)
-    two_wall, two_jobs = race_workers(2, workdir, failures)
+    raced_local: dict = {}
+    one_wall, one_jobs = race_workers(1, workdir, failures, raced_local)
+    two_wall, two_jobs = race_workers(2, workdir, failures, raced_local)
     speedup = one_wall / two_wall if two_wall else 0.0
     # a second worker cannot run in parallel without a second CPU;
     # record the skip instead of failing on starved runners
@@ -333,7 +364,7 @@ def main() -> int:
         else (os.cpu_count() or 1)
     )
     measurement["workers"] = {
-        "workload": {"models": ["tso", "sc"], "bound": BOUND},
+        "workload": {"jobs": [f"{model}:{bound}" for model, bound in RACE]},
         "one_worker": {"wall_seconds": one_wall, "jobs": one_jobs},
         "two_workers": {"wall_seconds": two_wall, "jobs": two_jobs},
         "speedup": speedup,

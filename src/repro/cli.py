@@ -816,7 +816,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         help="print the machine-readable result as a repro.obs.Report "
-        "envelope (synthesis-result v3) instead of the text report",
+        "envelope (synthesis-result v4) instead of the text report",
     )
     p.add_argument("-v", "--verbose", action="store_true")
 

@@ -26,6 +26,7 @@ Three evaluation modes are provided, mirroring the paper's Fig. 5:
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.litmus.execution import (
@@ -174,26 +175,34 @@ class MinimalityChecker:
         self, test: LitmusTest, axiom: str | None = None
     ) -> MinimalityResult:
         """Check the criterion w.r.t. one axiom (or the whole model)."""
-        if self.mode is CriterionMode.EXACT:
-            return self._check_exact(test, axiom)
-        return self._check_execution(test, axiom)
+        return self.check_axioms(test, (axiom,))[axiom]
 
-    def is_minimal(self, test: LitmusTest, axiom: str | None = None) -> bool:
-        return self.check(test, axiom).is_minimal
+    def check_axioms(
+        self, test: LitmusTest, axioms: Sequence[str | None]
+    ) -> dict[str | None, MinimalityResult]:
+        """Check the criterion w.r.t. each of ``axioms`` (``None`` is the
+        whole model) in one pass over the test.
+
+        Only the forbidden set depends on the axiom: the relaxation
+        applications, the relaxed tests and whether a relaxed outcome is
+        observable do not, so each is computed once for all axioms.
+        """
+        if self.mode is CriterionMode.EXACT:
+            return self._check_exact(test, axioms)
+        return self._check_execution(test, axioms)
 
     # -- Fig. 5b: sound, outcome-quantified ----------------------------------------
 
     def _check_exact(
-        self, test: LitmusTest, axiom: str | None
-    ) -> MinimalityResult:
+        self, test: LitmusTest, axioms: Sequence[str | None]
+    ) -> dict[str | None, MinimalityResult]:
         analysis = self.oracle.analyze(test)
-        forbidden = analysis.forbidden(axiom)
+        forbidden = {axiom: analysis.forbidden(axiom) for axiom in axioms}
+        counts = {axiom: len(outcomes) for axiom, outcomes in forbidden.items()}
         apps = self.applications(test)
-        if not forbidden or not apps:
-            return MinimalityResult(
-                test, axiom, False, forbidden_count=len(forbidden),
-                application_count=len(apps),
-            )
+        candidates = set().union(*forbidden.values())
+        if not candidates or not apps:
+            return _results(test, counts, len(apps), {}, {}, [])
         vocab = self.model.vocabulary
         relaxed_tests = [
             relax.apply(test, app, vocab) for relax, app in apps
@@ -202,8 +211,12 @@ class MinimalityChecker:
         # outcome survives only if every relaxation renders it observable.
         # Iterating applications outermost fails fast — one unhelpful
         # relaxation usually kills every candidate outcome at once.
-        surviving = sorted(forbidden, key=_outcome_key)
-        blocking: tuple[str, int, str] | None = None
+        # Survival does not depend on the axiom, so every axiom's outcomes
+        # are filtered together, and an axiom is blocked by the first
+        # application that leaves none of its own.
+        surviving = sorted(candidates, key=_outcome_key)
+        pending = [axiom for axiom in forbidden if forbidden[axiom]]
+        blocking: dict[str | None, tuple[str, int, str]] = {}
         for (relax, app), relaxed in zip(apps, relaxed_tests):
             surviving = [
                 outcome
@@ -216,74 +229,102 @@ class MinimalityChecker:
                     ),
                 )
             ]
-            if not surviving:
-                blocking = (relax.name, app.target, app.detail)
+            for axiom in pending:
+                if forbidden[axiom].isdisjoint(surviving):
+                    blocking[axiom] = (relax.name, app.target, app.detail)
+            pending = [axiom for axiom in pending if axiom not in blocking]
+            if not pending:
                 break
-        if surviving:
-            return MinimalityResult(
-                test,
-                axiom,
-                True,
-                witness=surviving[0],
-                forbidden_count=len(forbidden),
-                application_count=len(apps),
-                relaxed_tests=tuple(r.test for r in relaxed_tests),
-            )
-        return MinimalityResult(
-            test, axiom, False, blocking=blocking,
-            forbidden_count=len(forbidden), application_count=len(apps),
+        witnesses = {
+            axiom: next(o for o in surviving if o in forbidden[axiom])
+            for axiom in pending
+        }
+        return _results(
+            test, counts, len(apps), witnesses, blocking, relaxed_tests
         )
 
     # -- Fig. 5c: approximate, execution-quantified -----------------------------------
 
     def _check_execution(
-        self, test: LitmusTest, axiom: str | None
-    ) -> MinimalityResult:
-        apps = self.applications(test)
-        if not apps:
-            return MinimalityResult(test, axiom, False)
-        vocab = self.model.vocabulary
-        relaxed_tests = [
-            relax.apply(test, app, vocab) for relax, app in apps
-        ]
-        axioms = dict(
+        self, test: LitmusTest, axioms: Sequence[str | None]
+    ) -> dict[str | None, MinimalityResult]:
+        axiom_fns = dict(
             self.model.wa_axioms()
             if self.mode is CriterionMode.EXECUTION_WA
             else self.model.axioms()
         )
-        check_one = axioms[axiom] if axiom is not None else None
-        blocking: tuple[str, int, str] | None = None
-        forbidden_seen = 0
+        every = tuple(axiom_fns.values())
+
+        def whole_model(view) -> bool:
+            return all(fn(view) for fn in every)
+
+        holds = {
+            axiom: whole_model if axiom is None else axiom_fns[axiom]
+            for axiom in axioms
+        }
+        forbidden_seen = dict.fromkeys(axioms, 0)
+        apps = self.applications(test)
+        if not apps:
+            return _results(test, forbidden_seen, 0, {}, {}, [])
+        vocab = self.model.vocabulary
+        relaxed_tests = [
+            relax.apply(test, app, vocab) for relax, app in apps
+        ]
+        witnesses: dict[str | None, Outcome] = {}
+        blocking: dict[str | None, tuple[str, int, str]] = {}
+        pending = list(forbidden_seen)
         for execution in self.oracle.executions(test):
             view = self.model.view(execution)
-            if check_one is not None:
-                if check_one(view):
-                    continue
-            elif all(fn(view) for fn in axioms.values()):
+            violated = [axiom for axiom in pending if not holds[axiom](view)]
+            if not violated:
                 continue
-            forbidden_seen += 1
-            ok = True
+            # The perturbation walk does not depend on the axiom: one walk
+            # answers every axiom this execution violates.
+            block = None
             for (relax, app), relaxed in zip(apps, relaxed_tests):
-                perturbed = perturb_execution(execution, relaxed)
-                pview = self.model.view(perturbed)
-                if not all(fn(pview) for fn in axioms.values()):
-                    blocking = (relax.name, app.target, app.detail)
-                    ok = False
+                pview = self.model.view(perturb_execution(execution, relaxed))
+                if not whole_model(pview):
+                    block = (relax.name, app.target, app.detail)
                     break
-            if ok:
-                return MinimalityResult(
-                    test,
-                    axiom,
-                    True,
-                    witness=execution.outcome,
-                    forbidden_count=forbidden_seen,
-                    application_count=len(apps),
-                    relaxed_tests=tuple(r.test for r in relaxed_tests),
-                )
-        return MinimalityResult(
-            test, axiom, False, blocking=blocking,
-            forbidden_count=forbidden_seen, application_count=len(apps),
+            for axiom in violated:
+                forbidden_seen[axiom] += 1
+                if block is None:
+                    witnesses[axiom] = execution.outcome
+                    blocking.pop(axiom, None)
+                else:
+                    blocking[axiom] = block
+            if block is None:
+                pending = [axiom for axiom in pending if axiom not in witnesses]
+                if not pending:
+                    break
+        return _results(
+            test, forbidden_seen, len(apps), witnesses, blocking, relaxed_tests
         )
+
+
+def _results(
+    test: LitmusTest,
+    forbidden_counts: dict[str | None, int],
+    application_count: int,
+    witnesses: dict[str | None, Outcome],
+    blocking: dict[str | None, tuple[str, int, str]],
+    relaxed_tests: list[RelaxedTest],
+) -> dict[str | None, MinimalityResult]:
+    """One :class:`MinimalityResult` per axiom of a single pass."""
+    relaxed = tuple(r.test for r in relaxed_tests)
+    return {
+        axiom: MinimalityResult(
+            test,
+            axiom,
+            axiom in witnesses,
+            witness=witnesses.get(axiom),
+            blocking=blocking.get(axiom),
+            forbidden_count=count,
+            application_count=application_count,
+            relaxed_tests=relaxed if axiom in witnesses else (),
+        )
+        for axiom, count in forbidden_counts.items()
+    }
 
 
 def _outcome_key(outcome: Outcome):

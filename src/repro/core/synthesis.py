@@ -4,7 +4,10 @@ canonicalize → emit per-axiom and union suites.
 ``synthesize`` is the top-level entry point the paper's Fig. 5a ``run
 generate`` corresponds to: it streams every candidate test within the
 size bound, keeps those satisfying the minimality criterion for at least
-one axiom, and collects one suite per axiom plus the union suite.
+one axiom, and collects one suite per axiom plus the union suite.  Each
+unique candidate is checked once for all axioms: only the forbidden set
+depends on the axiom, so the relaxed tests and the observability answers
+are shared (:meth:`MinimalityChecker.check_axioms`).
 
 The stable call form takes a :class:`SynthesisOptions` value::
 
@@ -66,9 +69,11 @@ ORACLES = ("explicit", "relational")
 #: emits (and the CLI's ``synthesize --json`` prints).  v1 was the
 #: implicit pre-1.1 counts-only shape; v2 added the wall/cpu seconds
 #: split, shard bookkeeping, and aggregated oracle cache statistics; v3
-#: wraps the payload in the unified :class:`repro.obs.Report` envelope.
+#: wraps the payload in the unified :class:`repro.obs.Report` envelope;
+#: v4 drops the per-axiom seconds (one criterion pass answers every
+#: axiom of a candidate, so no time belongs to one axiom).
 RESULT_SCHEMA_NAME = "synthesis-result"
-RESULT_SCHEMA_VERSION = 3
+RESULT_SCHEMA_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -220,9 +225,7 @@ class SynthesisResult:
     ``wall_seconds`` is elapsed real time for the whole run;
     ``cpu_seconds`` is the summed busy time of every shard plus the
     merge (about ``wall_seconds`` for in-process runs, roughly ``jobs ×
-    wall`` for well-balanced parallel ones).  ``axiom_seconds`` always
-    sums *cpu* time across workers, so its total can exceed
-    ``wall_seconds``.
+    wall`` for well-balanced parallel ones).
     """
 
     model_name: str
@@ -234,7 +237,6 @@ class SynthesisResult:
     minimal_tests: int = 0
     wall_seconds: float = 0.0
     cpu_seconds: float = 0.0
-    axiom_seconds: dict[str, float] = field(default_factory=dict)
     jobs: int = 1
     shard_count: int = 0
     oracle_stats: dict[str, float] = field(default_factory=dict)
@@ -249,7 +251,7 @@ class SynthesisResult:
     def to_json_dict(self) -> dict:
         """The stable machine-readable summary: a
         :class:`repro.obs.Report` envelope around the ``synthesis-result``
-        payload (schema v3)."""
+        payload (schema v4)."""
         from repro.obs import Report
 
         suite_counts: dict = {
@@ -266,7 +268,6 @@ class SynthesisResult:
             "minimal_tests": self.minimal_tests,
             "wall_seconds": self.wall_seconds,
             "cpu_seconds": self.cpu_seconds,
-            "axiom_seconds": dict(self.axiom_seconds),
             "suite_counts": suite_counts,
             "oracle": dict(self.oracle_stats),
         }
@@ -289,8 +290,7 @@ class SynthesisResult:
             head += f" jobs={self.jobs} shards={self.shard_count}"
         lines = [head]
         for name, suite in self.per_axiom.items():
-            secs = self.axiom_seconds.get(name, 0.0)
-            lines.append(f"  {name:<16s} {len(suite):5d} tests  {secs:8.2f}s")
+            lines.append(f"  {name:<16s} {len(suite):5d} tests")
         lines.append(f"  {'union':<16s} {len(self.union):5d} tests")
         hit_rate = self.oracle_stats.get("observe_hit_rate")
         if hit_rate is not None:
@@ -473,18 +473,19 @@ def synthesize_shard(
     Streams ``opts.candidates`` (each candidate its own work item) or
     the enumerator's ``shard=(index, count)`` slice — ``(0, 1)`` is the
     whole unsharded stream — canonicalizes, and checks each new
-    canonical class for minimality per axiom.  Returns a *shard result*:
-    plain JSON, so the same payload serves the process pipe and the
-    checkpoint file::
+    canonical class against the criterion with one
+    :meth:`~repro.core.minimality.MinimalityChecker.check_axioms` call
+    that answers every axiom.  Returns a *shard result*: plain JSON, so
+    the same payload serves the process pipe and the checkpoint file::
 
         {"shard": index,
          "records": [{"item": <global work-item ordinal>,
                       "pos":  <candidate position within the item>,
                       "test": <test_to_dict form>,
-                      "minimal_for": [axiom, ...],   # axiom-check order
+                      "minimal_for": [axiom, ...],   # axiom order
                       "witnesses": {axiom: <outcome_to_dict form>}}],
-         "stats": {"candidates", "unique", "digests", "axiom_seconds",
-                   "cpu_seconds", "oracle"}}
+         "stats": {"candidates", "unique", "digests", "cpu_seconds",
+                   "oracle"}}
 
     ``(item, pos)`` is a global sort key: ordering every shard's records
     by it reconstructs the unsharded candidate order, which is what lets
@@ -510,7 +511,6 @@ def synthesize_shard(
             pools=pools,
         )
     events = opts.progress_events
-    axiom_seconds = {name: 0.0 for name in axiom_names}
     seen: set[LitmusTest] = set()
     digests: list[str] = []
     records: list[dict] = []
@@ -539,12 +539,11 @@ def synthesize_shard(
                     continue
                 seen.add(canon)
                 digests.append(fingerprint(canon))
+                results = checker.check_axioms(test, axiom_names)
                 minimal_for: list[str] = []
                 witnesses: dict[str, dict] = {}
                 for name in axiom_names:
-                    t_ax = time.perf_counter()
-                    result = checker.check(test, name)
-                    axiom_seconds[name] += time.perf_counter() - t_ax
+                    result = results[name]
                     if result.is_minimal:
                         assert result.witness is not None
                         minimal_for.append(name)
@@ -574,7 +573,6 @@ def synthesize_shard(
             "candidates": n_candidates,
             "unique": len(seen),
             "digests": digests,
-            "axiom_seconds": axiom_seconds,
             "cpu_seconds": time.perf_counter() - t0,
             "oracle": oracle_delta,
         },

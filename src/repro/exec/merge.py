@@ -116,16 +116,12 @@ def merge_shards(
 
     n_candidates = 0
     unique_digests: set[str] = set()
-    axiom_seconds = {name: 0.0 for name in axiom_names}
     cpu_seconds = time.perf_counter() - merge_t0
     for result in shard_results:
         stats = result["stats"]
         n_candidates += stats["candidates"]
         unique_digests.update(stats["digests"])
         cpu_seconds += stats["cpu_seconds"]
-        for name, secs in stats["axiom_seconds"].items():
-            if name in axiom_seconds:
-                axiom_seconds[name] += secs
     # One shared aggregation path for all stats surfaces: sum the raw
     # counters, then recompute every derived rate the counters support.
     oracle_totals: dict[str, float] = dict(
@@ -153,7 +149,6 @@ def merge_shards(
         minimal_tests=n_minimal,
         wall_seconds=wall_seconds,
         cpu_seconds=cpu_seconds,
-        axiom_seconds=axiom_seconds,
         jobs=opts.jobs,
         shard_count=shard_count,
         oracle_stats=oracle_totals,

@@ -56,11 +56,10 @@ VMEM_KINDS: frozenset[EventKind] = frozenset(
     {EventKind.PTWALK, EventKind.REMAP, EventKind.DIRTY}
 )
 
-#: Read-like and write-like kind groups (membership drives rf/co/fr).
-_READ_KINDS = frozenset({EventKind.READ, EventKind.PTWALK})
-_WRITE_KINDS = frozenset(
-    {EventKind.WRITE, EventKind.REMAP, EventKind.DIRTY}
-)
+#: The read-like and write-like kinds (they drive rf/co/fr), compared by
+#: identity: a set lookup would run the Python-level ``Enum.__hash__``.
+_READ, _PTWALK = EventKind.READ, EventKind.PTWALK
+_WRITE, _REMAP, _DIRTY = EventKind.WRITE, EventKind.REMAP, EventKind.DIRTY
 
 
 class Order(enum.IntEnum):
@@ -160,11 +159,13 @@ class Instruction:
 
     @property
     def is_read(self) -> bool:
-        return self.kind in _READ_KINDS
+        kind = self.kind
+        return kind is _READ or kind is _PTWALK
 
     @property
     def is_write(self) -> bool:
-        return self.kind in _WRITE_KINDS
+        kind = self.kind
+        return kind is _WRITE or kind is _REMAP or kind is _DIRTY
 
     @property
     def is_fence(self) -> bool:

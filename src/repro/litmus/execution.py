@@ -22,8 +22,8 @@ r1 removed").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
+from repro.litmus.memo import derived
 from repro.litmus.test import LitmusTest
 
 __all__ = [
@@ -101,17 +101,17 @@ class Execution:
     co: tuple[tuple[int, ...], ...]
     sc: tuple[int, ...] = ()
 
-    @cached_property
+    @derived
     def rf_map(self) -> dict[int, int | None]:
         """Read eid -> sourcing write eid (or None for initial)."""
         return dict(self.rf)
 
-    @cached_property
+    @derived
     def co_position(self) -> dict[int, int]:
         """Write eid -> its position in its address's coherence order."""
         return {w: i for order in self.co for i, w in enumerate(order)}
 
-    @cached_property
+    @derived
     def outcome(self) -> Outcome:
         """Project this execution onto its observable outcome."""
         finals = tuple(

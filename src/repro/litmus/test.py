@@ -15,9 +15,9 @@ built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from repro.litmus.events import DepKind, Instruction
+from repro.litmus.memo import derived
 
 __all__ = ["Dep", "LitmusTest"]
 
@@ -136,11 +136,11 @@ class LitmusTest:
 
     # -- event geometry ------------------------------------------------------
 
-    @cached_property
+    @derived
     def num_events(self) -> int:
         return sum(len(t) for t in self.threads)
 
-    @cached_property
+    @derived
     def _thread_starts(self) -> tuple[int, ...]:
         starts = []
         acc = 0
@@ -167,7 +167,7 @@ class LitmusTest:
         """Position of the event within its thread."""
         return eid - self._thread_starts[self.tid_of(eid)]
 
-    @cached_property
+    @derived
     def instructions(self) -> tuple[Instruction, ...]:
         """All instructions in event-id order."""
         return tuple(inst for t in self.threads for inst in t)
@@ -177,15 +177,15 @@ class LitmusTest:
 
     # -- classification masks (bitmask over event ids) ------------------------
 
-    @cached_property
+    @derived
     def reads_mask(self) -> int:
         return self._mask(lambda i: i.is_read)
 
-    @cached_property
+    @derived
     def writes_mask(self) -> int:
         return self._mask(lambda i: i.is_write)
 
-    @cached_property
+    @derived
     def fences_mask(self) -> int:
         return self._mask(lambda i: i.is_fence)
 
@@ -200,13 +200,13 @@ class LitmusTest:
         """Bitmask of events whose instruction satisfies ``pred``."""
         return self._mask(pred)
 
-    @cached_property
+    @derived
     def read_eids(self) -> tuple[int, ...]:
         return tuple(
             e for e, inst in enumerate(self.instructions) if inst.is_read
         )
 
-    @cached_property
+    @derived
     def write_eids(self) -> tuple[int, ...]:
         return tuple(
             e for e, inst in enumerate(self.instructions) if inst.is_write
@@ -214,7 +214,7 @@ class LitmusTest:
 
     # -- addresses and values -------------------------------------------------
 
-    @cached_property
+    @derived
     def addresses(self) -> tuple[int, ...]:
         """Distinct addresses in first-use order."""
         seen: list[int] = []
@@ -225,7 +225,7 @@ class LitmusTest:
 
     # -- locations (virtual -> physical aliasing) -----------------------------
 
-    @cached_property
+    @derived
     def _location_map(self) -> dict[int, int]:
         return dict(self.addr_map) if self.addr_map is not None else {}
 
@@ -233,7 +233,7 @@ class LitmusTest:
         """Physical location of an address (identity when unmapped)."""
         return self._location_map.get(address, address)
 
-    @cached_property
+    @derived
     def locations(self) -> tuple[int, ...]:
         """Distinct physical locations in first-use order.
 
@@ -277,7 +277,7 @@ class LitmusTest:
             and self.location_of(inst.address) == loc
         )
 
-    @cached_property
+    @derived
     def write_values(self) -> dict[int, int]:
         """Value stored by each write event.
 
@@ -309,11 +309,11 @@ class LitmusTest:
 
     # -- rmw / dep lookups -----------------------------------------------------
 
-    @cached_property
+    @derived
     def rmw_reads(self) -> frozenset[int]:
         return frozenset(r for r, _ in self.rmw)
 
-    @cached_property
+    @derived
     def rmw_writes(self) -> frozenset[int]:
         return frozenset(w for _, w in self.rmw)
 

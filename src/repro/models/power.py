@@ -17,9 +17,10 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from repro.litmus.events import DepKind, FenceKind
+from repro.litmus.memo import derived
 from repro.models.base import Axiom, MemoryModel, Vocabulary
 from repro.semantics.rel import Rel
-from repro.semantics.relations import RelationView, derived
+from repro.semantics.relations import RelationView
 
 __all__ = ["Power", "power_ppo", "power_fences", "power_prop", "power_hb"]
 

@@ -14,58 +14,22 @@ view — the synthesis inner loop visits hundreds of executions per test,
 so this sharing dominates throughput.
 
 Relations that depend on the *execution* are computed at most once per
-view by :class:`derived`, which a model's own derived relations (Power's
-``ppo``, ``hb`` and ``prop``, say) use too, so that every axiom of one
-execution reads the same value.
+view by :class:`repro.litmus.memo.derived`, which a model's own derived
+relations (Power's ``ppo``, ``hb`` and ``prop``, say) use too, so that
+every axiom of one execution reads the same value.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Callable
 
 from repro.litmus.events import DepKind, EventKind, FenceKind, Order
 from repro.litmus.execution import Execution
+from repro.litmus.memo import derived
 from repro.litmus.test import LitmusTest
 from repro.semantics.rel import Rel
 
-__all__ = ["StaticRelations", "RelationView", "derived"]
-
-
-class derived:
-    """A value computed at most once per object, stored in its ``__dict__``.
-
-    As a class attribute it is a lock-free cached property: the first
-    access stores the value under the attribute's own name, which then
-    shadows the descriptor.  As a module-level decorator of a function of
-    a :class:`RelationView` (a model's derived relation), calling it
-    stores the value under the function's qualified name, so each view,
-    and so each execution, computes it once however many axioms ask.
-    Each view has its own memo; a view subclass that redefines a base
-    relation (a mutant's empty ``fr``) never sees another view's values.
-    """
-
-    def __init__(self, fn: Callable):
-        self.fn = fn
-        self.key = f"{fn.__module__}.{fn.__qualname__}"
-        self.__doc__ = fn.__doc__
-        self.__name__ = fn.__name__
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.key = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.key] = self.fn(obj)
-        return value
-
-    def __call__(self, obj):
-        memo = obj.__dict__
-        value = memo.get(self.key)
-        if value is None:
-            value = memo[self.key] = self.fn(obj)
-        return value
+__all__ = ["StaticRelations", "RelationView"]
 
 
 class StaticRelations:

@@ -22,11 +22,12 @@ of three payload schemas:
     per-job sequence number.  Sent by every wait on a job — a ``submit``
     with ``"wait": true`` (after its ``job-status``) and a ``result`` —
     from the job's first event up to its terminal ``job-result``.
-``job-result`` (v1)
+``job-result`` (v2)
     a :class:`JobResult`: terminal state plus the full
     :class:`~repro.core.synthesis.SynthesisResult` — suites serialized
     entry-by-entry so the client-side reconstruction is *byte-identical*
-    to a local run's suites (same entries, same order, same JSON).
+    to a local run's suites (same entries, same order, same JSON).  v2
+    dropped the per-axiom seconds.
 
 Requests carrying process-local values (an explicit ``candidates``
 stream, a ``progress_events`` callback) cannot cross the wire;
@@ -81,7 +82,7 @@ JOB_STATUS_SCHEMA_VERSION = 1
 JOB_PROGRESS_SCHEMA_NAME = "job-progress"
 JOB_PROGRESS_SCHEMA_VERSION = 1
 JOB_RESULT_SCHEMA_NAME = "job-result"
-JOB_RESULT_SCHEMA_VERSION = 1
+JOB_RESULT_SCHEMA_VERSION = 2
 JOB_LIST_SCHEMA_NAME = "job-list"
 SERVICE_METRICS_SCHEMA_NAME = "service-metrics"
 SERVICE_ERROR_SCHEMA_NAME = "service-error"
@@ -361,7 +362,6 @@ def result_to_payload(result: SynthesisResult) -> dict[str, Any]:
         "minimal_tests": result.minimal_tests,
         "wall_seconds": result.wall_seconds,
         "cpu_seconds": result.cpu_seconds,
-        "axiom_seconds": dict(result.axiom_seconds),
         "oracle": dict(result.oracle_stats),
         "per_axiom": {
             name: suite.to_dict()
@@ -385,7 +385,6 @@ def result_from_payload(payload: Mapping[str, Any]) -> SynthesisResult:
         minimal_tests=payload.get("minimal_tests", 0),
         wall_seconds=payload.get("wall_seconds", 0.0),
         cpu_seconds=payload.get("cpu_seconds", 0.0),
-        axiom_seconds=dict(payload.get("axiom_seconds", {})),
         jobs=payload.get("jobs", 1),
         shard_count=payload.get("shards", 0),
         oracle_stats=dict(payload.get("oracle", {})),

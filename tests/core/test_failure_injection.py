@@ -7,7 +7,7 @@ degrades) the way a user needs it to."""
 import pytest
 
 from repro.core.compare import compare_suites
-from repro.core.minimality import MinimalityChecker
+from repro.core.minimality import CriterionMode, MinimalityChecker
 from repro.core.suite import TestSuite
 from repro.core.synthesis import SynthesisOptions, synthesize
 from repro.litmus.catalog import CATALOG
@@ -83,6 +83,13 @@ class TestDegenerateInputs:
         checker = MinimalityChecker(get_model("tso"))
         with pytest.raises(KeyError):
             checker.check(CATALOG["MP"].test, "no_such_axiom")
+
+    @pytest.mark.parametrize("mode", list(CriterionMode))
+    def test_unknown_axiom_name_without_applications(self, mode):
+        # a test no relaxation applies to still names its axioms
+        checker = MinimalityChecker(get_model("tso"), mode)
+        with pytest.raises(KeyError):
+            checker.check(LitmusTest(((write(0, 1),),)), "no_such_axiom")
 
     def test_single_event_test(self):
         checker = MinimalityChecker(get_model("tso"))

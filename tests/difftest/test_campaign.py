@@ -73,6 +73,40 @@ class TestDeterminism:
         assert other.to_json() != sc_report.to_json()
 
 
+class TestInjectedMutantCampaigns:
+    """Fixed-seed campaigns with known-buggy mutants on three models."""
+
+    @pytest.mark.parametrize(
+        "model, mutants, skips",
+        [
+            ("tso", ("drop:sc_per_loc", "empty:fr"), 23),
+            ("sc", ("drop:sequential_consistency",), 0),
+            ("power", ("empty:fr",), 24),
+        ],
+    )
+    def test_campaign_is_clean_and_deterministic(self, model, mutants, skips):
+        def run(jobs: int):
+            return run_campaign(
+                CampaignOptions(
+                    model=model, seed=2017, budget=100, mutants=mutants,
+                    jobs=jobs,
+                )
+            )
+
+        report = run(1)
+        doc = report.to_json_dict()["payload"]
+        # the stock oracles agree, and every injected mutant dies
+        assert doc["discrepancies"] == [] and doc["unshrunk_discrepancies"] == 0
+        assert doc["surviving_mutants"] == []
+        assert sorted(doc["mutant_kills"]) == sorted(mutants)
+        assert doc["clean"] is True
+        # the static fr-emptiness check skips the vacuous empty:fr runs
+        assert doc["mutant_skips"] == skips
+        for kill in doc["mutant_kills"].values():
+            assert kill["events"] <= kill["original_events"]
+        assert run(2).to_json() == report.to_json()
+
+
 class TestCorpusReplay:
     def test_kills_persist_and_replay_confirms(self, tmp_path):
         corpus_dir = str(tmp_path / "corpus")

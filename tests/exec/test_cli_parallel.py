@@ -28,7 +28,7 @@ class TestCliParallel:
         assert code == 0
         seq_env, par_env = json.loads(seq_out), json.loads(par_out)
         for env in (seq_env, par_env):
-            assert env["schema"] == {"name": "synthesis-result", "version": 3}
+            assert env["schema"] == {"name": "synthesis-result", "version": 4}
             assert env["tool"] == "litmus-synth"
             assert env["command"] == "synthesize"
         seq, par = seq_env["payload"], par_env["payload"]

@@ -64,7 +64,7 @@ class TestSynthesisOptions:
 
 
 class TestResultSchema:
-    def test_json_dict_schema_v3_envelope(self):
+    def test_json_dict_schema_v4_envelope(self):
         result = synthesize(
             get_model("tso"),
             SynthesisOptions(bound=3, config=_config(), shards=3),
@@ -75,10 +75,16 @@ class TestResultSchema:
             "name": "synthesis-result",
             "version": RESULT_SCHEMA_VERSION,
         }
-        assert RESULT_SCHEMA_VERSION == 3
+        assert RESULT_SCHEMA_VERSION == 4
         assert envelope["tool"] == "litmus-synth"
         assert envelope["command"] == "synthesize"
         payload = envelope["payload"]
+        # v4: no per-axiom seconds, since one pass checks every axiom
+        assert set(payload) == {
+            "model", "bound", "jobs", "shards", "candidates",
+            "unique_candidates", "minimal_tests", "wall_seconds",
+            "cpu_seconds", "suite_counts", "oracle",
+        }
         assert payload["model"] == "tso"
         assert payload["bound"] == 3
         assert payload["jobs"] == 1

@@ -142,7 +142,9 @@ class TestFingerprint:
         }
         never_minimal = SimpleNamespace(
             oracle=None,
-            check=lambda test, axiom: SimpleNamespace(is_minimal=False),
+            check_axioms=lambda test, axioms: {
+                axiom: SimpleNamespace(is_minimal=False) for axiom in axioms
+            },
         )
         shard = synthesize_shard(
             model, SynthesisOptions(bound=4, config=config), never_minimal

@@ -78,6 +78,27 @@ class TestInstructionConstruction:
             Instruction(EventKind.READ, address=0, value=1)
 
 
+@pytest.mark.parametrize(
+    "kind, is_read, is_write",
+    [
+        (EventKind.READ, True, False),
+        (EventKind.WRITE, False, True),
+        (EventKind.FENCE, False, False),
+        (EventKind.PTWALK, True, False),
+        (EventKind.REMAP, False, True),
+        (EventKind.DIRTY, False, True),
+    ],
+)
+def test_read_and_write_kinds(kind, is_read, is_write):
+    if kind is EventKind.FENCE:
+        inst = Instruction(kind, fence=FenceKind.SYNC)
+    else:
+        inst = Instruction(kind, address=0)
+    assert inst.is_read is is_read
+    assert inst.is_write is is_write
+    assert inst.is_fence is (kind is EventKind.FENCE)
+
+
 class TestInstructionTransforms:
     def test_with_order(self):
         r = read(0).with_order(Order.ACQ)

@@ -179,6 +179,16 @@ class TestHashing:
         assert clone == t
         assert hash(clone) == h
 
+    def test_memoized_values_keep_their_attribute_names(self):
+        # the memo stores each derived value under the attribute's own
+        # name, so the pickled state is the dataclass fields plus those
+        t = mp()
+        assert t.num_events == 4 and t.locations == (0, 1)
+        assert {"num_events", "locations", "addresses"} <= set(t.__dict__)
+        clone = pickle.loads(pickle.dumps(t))
+        assert clone.__dict__["num_events"] == 4
+        assert clone.__getstate__() == t.__getstate__()
+
     def test_pickled_test_hashes_like_a_fresh_one_in_another_interpreter(self):
         # Enum hashes are salted per interpreter: a hash cached here must
         # not travel with the test into a child with another salt

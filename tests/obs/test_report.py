@@ -120,7 +120,7 @@ class TestLiveSurfacesAreEnvelopes:
         )
         loaded = load_report(result.to_json_dict())
         assert loaded.schema_name == "synthesis-result"
-        assert loaded.schema_version == 3
+        assert loaded.schema_version == 4
 
         comparison = SuiteComparison("sc")
         loaded = load_report(comparison.to_json_dict())

@@ -3,9 +3,10 @@
 from repro.difftest.mutate import _EmptyFrView
 from repro.litmus.events import DepKind, FenceKind, fence, read, write
 from repro.litmus.execution import Execution
+from repro.litmus.memo import derived
 from repro.litmus.test import Dep, LitmusTest
 from repro.models.power import power_hb, power_ppo, power_prop
-from repro.semantics.relations import RelationView, StaticRelations, derived
+from repro.semantics.relations import RelationView, StaticRelations
 
 
 def view_of(test, rf=(), co=(), sc=()):

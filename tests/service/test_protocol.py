@@ -199,6 +199,14 @@ class TestResultRoundTrip:
         )
         assert back.result is not None
         assert back.result.union.to_json() == result.union.to_json()
+        # v2: no per-axiom seconds, since one pass checks every axiom
+        envelope = job.to_report().to_json_dict()
+        assert envelope["schema"] == {"name": "job-result", "version": 2}
+        assert set(envelope["payload"]["result"]) == {
+            "model", "bound", "jobs", "shards", "candidates",
+            "unique_candidates", "minimal_tests", "wall_seconds",
+            "cpu_seconds", "oracle", "per_axiom", "union",
+        }
 
     def test_failed_job_result_carries_error_only(self):
         job = JobResult(job_id="job-0002", state="failed", error="boom")
