@@ -34,7 +34,7 @@ from repro.relational.solve import CompiledProblem
 __all__ = ["CNFCache", "CACHE_SCHEMA", "cache_key", "entry_to_dict", "entry_from_dict"]
 
 #: bump when CompiledProblem's serialized shape changes
-CACHE_SCHEMA = 2
+CACHE_SCHEMA = 3
 
 
 def cache_key(model_fingerprint: str, test: LitmusTest, with_sc: bool) -> str:
@@ -73,7 +73,7 @@ def entry_to_dict(model_fingerprint: str, compiled: CompiledProblem) -> dict:
         "tuple_vars": [
             [name, list(t), var] for name, t, var in compiled.tuple_vars
         ],
-        "selectors": [[label, sel] for label, sel in compiled.selectors],
+        "roots": [[label, lit] for label, lit in compiled.roots],
         "unsat": compiled.unsat,
     }
 
@@ -86,7 +86,7 @@ def entry_from_dict(data: dict) -> CompiledProblem:
         tuple_vars=tuple(
             (name, tuple(t), var) for name, t, var in data["tuple_vars"]
         ),
-        selectors=tuple((label, sel) for label, sel in data["selectors"]),
+        roots=tuple((label, lit) for label, lit in data["roots"]),
         unsat=data["unsat"],
     )
 

@@ -10,19 +10,22 @@ suite.
 
 The oracle amortizes its SAT work the way Kodkod does:
 
-* **Sessions** — each litmus test gets one long-lived
-  :class:`~repro.relational.solve.ModelFinder`; the well-formedness
-  facts are asserted once, every model axiom compiles once behind a
-  selector literal, and all queries for the test (full enumeration,
-  per-axiom enumeration, concrete-execution validity) are assumption
-  sets against that single warm solver.
+* **Sessions** — each litmus test is enumerated once: one
+  :class:`~repro.relational.solve.ModelFinder` asserts the
+  well-formedness facts, compiles every model axiom to an unguarded
+  root literal, and enumerates the facts' instances projected on
+  ``rf``/``co``/``sc``.  Each axiom's value in each enumerated model is
+  its verdict on that execution, so the one pass yields the execution
+  space, every per-axiom valid list and the full model's; concrete
+  execution validity is membership in the last.  The session keeps
+  these lists, not the solver.
 * **Compilation cache** — compiled CNF snapshots are shared across
   structurally-equal tests through :class:`repro.alloy.cache.CNFCache`
   (in-memory LRU, optional on-disk layer), so re-visited forms skip the
   translator entirely.
 * **Determinism** — enumerated executions are sorted by a canonical key
-  before use, so results do not depend on the enumeration order the
-  warm solver's state happens to produce.
+  before use, so results do not depend on the order the solver's
+  search happens to produce them in.
 """
 
 from __future__ import annotations
@@ -57,141 +60,56 @@ def _execution_key(ex: Execution):
 
 
 class _Session:
-    """One test's long-lived incremental finder plus its query cache."""
+    """One test's executions and every axiom's valid list among them,
+    all from one projected enumeration of the well-formedness facts."""
 
     def __init__(self, oracle: "AlloyOracle", test: LitmusTest):
-        self.oracle = oracle
-        self.encoding = LitmusEncoding(test, with_sc=oracle.with_sc)
-        self.dyn_names = [RF, CO] + ([SC_REL] if oracle.with_sc else [])
+        encoding = LitmusEncoding(test, with_sc=oracle.with_sc)
+        dyn_names = [RF, CO] + ([SC_REL] if oracle.with_sc else [])
+        # A root's value is its axiom's truth only if the projection
+        # fixes every free tuple; the static relations are constants.
+        unprojected = [
+            name
+            for name, decl in encoding.problem.declarations.items()
+            if decl.free and name not in dyn_names
+        ]
+        assert not unprojected, f"free tuples outside rf/co/sc: {unprojected}"
         cache = oracle._cnf_cache
         key = cache.key(test, oracle.with_sc) if cache is not None else None
         compiled = cache.get(key) if cache is not None else None
         if compiled is not None:
-            self.finder = ModelFinder(self.encoding.problem, compiled=compiled)
-            self.selectors: dict[str, int | None] = {
-                label: (sel or None) for label, sel in compiled.selectors
-            }
+            finder = ModelFinder(encoding.problem, compiled=compiled)
+            roots = dict(compiled.roots)
         else:
-            facts = self.encoding.facts()
-            self.finder = ModelFinder(self.encoding.problem)
-            self.finder.assert_formula(facts)
-            self.selectors = {
-                name: self.finder.selector_for(formula)
+            finder = ModelFinder(encoding.problem)
+            finder.assert_formula(encoding.facts())
+            roots = {
+                name: finder.root_literal(formula)
                 for name, formula in oracle._formulas.items()
             }
-            # Allocate every relation's variables before snapshotting so
-            # the compiled form can answer pinned-execution queries too.
-            for name in self.encoding.problem.declarations:
-                self.finder.translator.relation_matrix(name)
+            # Allocate the projected relations' variables before
+            # snapshotting, so a rebuilt finder enumerates over them all.
+            for name in dyn_names:
+                finder.translator.relation_matrix(name)
             if cache is not None:
-                cache.put(key, compile_snapshot(self.finder, self.selectors))
-        self._enumerated: dict[str | None, tuple[Execution, ...]] = {}
-        self._pins: dict[Execution, list[int]] = {}
-
-    def _assumptions(self, axiom: str) -> list[int]:
-        if axiom == _FULL_MODEL:
-            return [s for s in self.selectors.values() if s is not None]
-        sel = self.selectors[axiom]
-        return [sel] if sel is not None else []
-
-    def executions_for(self, axiom: str | None) -> tuple[Execution, ...]:
-        """Executions under the facts plus one axiom selection, sorted.
-
-        ``axiom`` is None (facts only), an axiom name, or ``"*"`` for the
-        whole model.  Each selection computes at most once per session.
-
-        The execution space enumerates exactly once (the facts-only
-        query); every axiom selection then *filters* that list with
-        pinned-assumption queries — each is a single unit propagation
-        against the warm solver, no model search, no blocking clauses.
-        """
-        cached = self._enumerated.get(axiom)
-        if cached is not None:
-            return cached
-        if axiom is None:
-            decode = self.encoding.decode
-            found = [
-                decode(inst)
-                for inst in self.finder.instances_assuming([], project=self.dyn_names)
-            ]
-            found.sort(key=_execution_key)
-            cached = tuple(found)
-        else:
-            cached = self._intersect_cached() if axiom == _FULL_MODEL else None
-            if cached is None:
-                cached = tuple(
-                    ex
-                    for ex in self.executions_for(None)
-                    if self._selection_holds(ex, axiom)
+                cache.put(key, compile_snapshot(finder, roots))
+        labels = list(oracle._formulas)
+        found = sorted(
+            (
+                (encoding.decode(instance), values)
+                for instance, values in finder.instances_reading(
+                    [roots[name] for name in labels], project=dyn_names
                 )
-        self._enumerated[axiom] = cached
-        return cached
-
-    def _intersect_cached(self) -> tuple[Execution, ...] | None:
-        """Full-model executions as the intersection of the per-axiom
-        lists, when all of them are already filtered (the ``analyze``
-        path guarantees that): set algebra instead of solver queries.
-        Returns None when some axiom list is missing — then the direct
-        pinned filter is cheaper than materializing every axiom."""
-        lists = [self._enumerated.get(name) for name in self.oracle._formulas]
-        if not lists or any(entry is None for entry in lists):
-            return None
-        member = set(lists[0])
-        for entry in lists[1:]:
-            member &= set(entry)
-        return tuple(ex for ex in self.executions_for(None) if ex in member)
-
-    def _selection_holds(self, execution: Execution, axiom: str) -> bool:
-        """Does one execution satisfy one axiom selection (or ``"*"``)?
-
-        One pinned query: all free rf/co/sc variables assumed to the
-        execution's values, plus the selection's axiom selectors."""
-        pins = self._pins.get(execution)
-        if pins is None:
-            pinned = self._pinned_tuples(execution)
-            pins = []
-            for name in self.dyn_names:
-                decl = self.encoding.problem.declarations[name]
-                tuples = pinned[name]
-                for t in sorted(decl.free):
-                    var = self.finder.tuple_vars[(name, t)]
-                    pins.append(var if t in tuples else -var)
-            self._pins[execution] = pins
-        return self.finder.check_assuming(self._assumptions(axiom) + pins)
-
-    def check_execution(self, execution: Execution) -> bool:
-        """Model-validity of one concrete execution, by pinning every
-        free rf/co/sc variable through assumptions (no new constants, no
-        new clauses)."""
-        pinned = self._pinned_tuples(execution)
-        for name in self.dyn_names:
-            decl = self.encoding.problem.declarations[name]
-            if not pinned[name] <= decl.upper or not decl.lower <= pinned[name]:
-                return False
-        return self._selection_holds(execution, _FULL_MODEL)
-
-    def _pinned_tuples(self, execution: Execution) -> dict[str, set]:
-        pinned: dict[str, set] = {
-            RF: {(src, r) for r, src in execution.rf if src is not None}
+            ),
+            key=lambda pair: _execution_key(pair[0]),
+        )
+        oracle._sat_totals.add(finder.circuit.solver.stats)
+        self.lists: dict[str | None, tuple[Execution, ...]] = {
+            None: tuple(ex for ex, _ in found),
+            _FULL_MODEL: tuple(ex for ex, values in found if all(values)),
         }
-        co_tuples: set = set()
-        for order in execution.co:
-            for i, w1 in enumerate(order):
-                for w2 in order[i + 1 :]:
-                    co_tuples.add((w1, w2))
-        pinned[CO] = co_tuples
-        if self.oracle.with_sc:
-            sc_tuples: set = set()
-            seq = execution.sc
-            for i, a in enumerate(seq):
-                for b in seq[i + 1 :]:
-                    sc_tuples.add((a, b))
-            pinned[SC_REL] = sc_tuples
-        return pinned
-
-    @property
-    def solver_stats(self) -> SolverStats:
-        return self.finder.circuit.solver.stats
+        for i, name in enumerate(labels):
+            self.lists[name] = tuple(ex for ex, values in found if values[i])
 
 
 class AlloyOracle:
@@ -205,8 +123,8 @@ class AlloyOracle:
     Args:
         model_name: one of :data:`repro.alloy.models.ALLOY_MODELS`.
         analysis_cache: LRU capacity of the per-test analysis cache.
-        session_cache: LRU capacity of live incremental sessions (each
-            holds a solver with its learnt-clause database).
+        session_cache: LRU capacity of enumerated tests (each holds
+            the test's executions and its per-axiom valid lists).
         compile_cache: in-memory capacity of the CNF compilation cache;
             0 disables it (the analysis lints flag that configuration).
         cnf_cache_dir: optional directory for the on-disk compilation
@@ -272,8 +190,7 @@ class AlloyOracle:
         self._sessions[test] = session
         self._session_count += 1
         while len(self._sessions) > self._session_cache:
-            _, evicted = self._sessions.popitem(last=False)
-            self._sat_totals.add(evicted.solver_stats)
+            self._sessions.popitem(last=False)
         return session
 
     # -- queries -------------------------------------------------------------------
@@ -283,14 +200,14 @@ class AlloyOracle:
 
     def executions(self, test: LitmusTest) -> Iterator[Execution]:
         """All well-formed executions (the facts alone)."""
-        yield from self._session(test).executions_for(None)
+        yield from self._session(test).lists[None]
 
     def valid_executions(
         self, test: LitmusTest, axiom: str | None = None
     ) -> Iterator[Execution]:
         """Executions satisfying one axiom (or the whole model)."""
         label = _FULL_MODEL if axiom is None else axiom
-        yield from self._session(test).executions_for(label)
+        yield from self._session(test).lists[label]
 
     def valid_outcomes(self, test: LitmusTest) -> frozenset[Outcome]:
         return frozenset(
@@ -298,8 +215,8 @@ class AlloyOracle:
         )
 
     def analyze(self, test: LitmusTest) -> TestAnalysis:
-        """Outcome landscape via model finding (one enumeration for the
-        execution space, one per axiom) — all against one warm solver."""
+        """Outcome landscape via model finding: one enumeration of the
+        test's executions, each carrying every axiom's verdict."""
         cached = self._analysis.recall(test)
         if cached is not None:
             self._analysis_hits += 1
@@ -324,18 +241,16 @@ class AlloyOracle:
         return self.analyze(test).admits(constraint)
 
     def is_valid(self, execution: Execution) -> bool:
-        """Check one concrete execution by pinning rf/co/sc exactly."""
-        return self._session(execution.test).check_execution(execution)
+        """Is the execution among its test's model-valid executions?  One
+        outside the test's bounds is among none of them."""
+        return execution in self._session(execution.test).lists[_FULL_MODEL]
 
     # -- telemetry -----------------------------------------------------------------
 
     def solver_stats(self) -> SolverStats:
-        """Aggregate CDCL counters across every solver this oracle ran
-        (evicted sessions included)."""
+        """Aggregate CDCL counters across every solver this oracle ran."""
         total = SolverStats()
         total.add(self._sat_totals)
-        for session in self._sessions.values():
-            total.add(session.solver_stats)
         return total
 
     def as_metrics(self) -> dict[str, int | float]:

@@ -115,7 +115,8 @@ class Circuit:
 
         Compiling through this (instead of :meth:`assert_true`) lets the
         caller guard the node behind a solver selector so the same CNF
-        serves many assumption-based queries.
+        serves many assumption-based queries, or read the node's value
+        off each model (every gate is defined in both directions).
         """
         return self._literal(node)
 

@@ -8,21 +8,23 @@ solver's projected model enumeration.
 
 The finder is *incremental*: one long-lived solver answers every query
 over one bounded problem.  Formulas compile once — permanently via
-:meth:`ModelFinder.assert_formula`, or behind a selector literal via
-:meth:`ModelFinder.selector_for` — and each subsequent query is a handful
-of assumption literals against the shared clause database, so learnt
-clauses, variable activities, and saved phases amortize across the
-thousands of near-identical queries the synthesis loop issues.  A
-finder's compiled CNF can be snapshotted (:func:`compile_snapshot`) and
-rebuilt without re-running the translator (:class:`CompiledProblem`),
-which is what the structural-hash compilation cache in
-:mod:`repro.alloy.cache` stores.
+:meth:`ModelFinder.assert_formula`, behind a selector literal via
+:meth:`ModelFinder.selector_for`, or to an unguarded root literal via
+:meth:`ModelFinder.root_literal` — and each subsequent query is a
+handful of assumption literals against the shared clause database, so
+learnt clauses, variable activities, and saved phases amortize across
+queries.  A root literal is never assumed: its value in each enumerated
+model (:meth:`ModelFinder.instances_reading`) is the formula's truth on
+that instance.  A finder's compiled CNF can be snapshotted
+(:func:`compile_snapshot`) and rebuilt without re-running the translator
+(:class:`CompiledProblem`), which is what the structural-hash
+compilation cache in :mod:`repro.alloy.cache` stores.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from repro.obs import current_registry
@@ -68,7 +70,7 @@ class CompiledProblem:
     Everything needed to rebuild an equivalent solver without re-running
     the (expensive) relational-to-circuit translation: the variable
     count, the level-0 unit literals, the stored clauses, the free-tuple
-    variable map, and the selector literal per guarded formula.  The
+    variable map, and the root literal per labelled formula.  The
     payload is plain ints/strings/tuples, so it serializes to JSON for
     the on-disk cache layer.
     """
@@ -78,20 +80,20 @@ class CompiledProblem:
     clauses: tuple[tuple[int, ...], ...]
     #: ``(relation name, tuple, SAT var)`` per free tuple
     tuple_vars: tuple[tuple[str, tuple[int, ...], int], ...]
-    #: ``(label, selector var)`` per guarded formula (0 = tautology)
-    selectors: tuple[tuple[str, int], ...] = ()
+    #: ``(label, literal)`` per formula compiled by
+    #: :meth:`ModelFinder.root_literal`
+    roots: tuple[tuple[str, int], ...] = ()
     unsat: bool = False
 
 
 def compile_snapshot(
-    finder: "ModelFinder", selectors: dict[str, int | None] | None = None
+    finder: "ModelFinder", roots: dict[str, int] | None = None
 ) -> CompiledProblem:
     """Snapshot a finder's compiled CNF for later reconstruction.
 
-    Must be taken before any enumeration that could leave learnt clauses
-    behind is *required* — in practice right after the base formulas and
-    selector guards are compiled (learnt clauses are search artifacts and
-    are deliberately not part of the snapshot).
+    Take it right after the base formulas and root literals are compiled,
+    before any enumeration: learnt clauses are search artifacts and are
+    deliberately not part of the snapshot.
     """
     from repro.sat.types import index_lit
 
@@ -107,9 +109,7 @@ def compile_snapshot(
         tuple_vars=tuple(
             (name, t, var) for (name, t), var in sorted(finder.tuple_vars.items())
         ),
-        selectors=tuple(
-            (label, sel or 0) for label, sel in (selectors or {}).items()
-        ),
+        roots=tuple((roots or {}).items()),
         unsat=not solver._ok,
     )
 
@@ -184,6 +184,23 @@ class ModelFinder:
         self._selectors[formula] = sel
         return sel
 
+    def root_literal(self, formula: ast.Formula) -> int:
+        """Compile a formula to a literal, unguarded, that holds in
+        exactly the models where the formula does.
+
+        Every Tseitin gate is emitted in both directions, so in a
+        complete model the literal's value is the formula's truth on
+        that model's free tuples; :meth:`instances_reading` hands it
+        back per instance.  A formula that folds to a constant gets a
+        fresh variable fixed at level 0.
+        """
+        root = self._compile(formula)
+        if root != TRUE and root != FALSE:
+            return self.circuit.literal(root)
+        var = self.circuit.solver.new_var()
+        self.circuit.solver.add_clause([var if root == TRUE else -var])
+        return var
+
     def _compile(self, formula: ast.Formula):
         """Translate one formula to a circuit root, publishing the
         compile count and wall time into the process-local metrics
@@ -239,9 +256,9 @@ class ModelFinder:
     def check_assuming(self, assumptions: Iterable[int]) -> bool:
         """SAT/UNSAT of the compiled base under assumption literals.
 
-        Assumptions are selector literals from :meth:`selector_for`
-        and/or signed free-tuple variables (pinning tuples in or out) —
-        the whole minimality-criterion query family reduces to this.
+        Assumptions are selector literals from :meth:`selector_for`,
+        literals from :meth:`root_literal`, and/or signed free-tuple
+        variables (pinning tuples in or out).
         """
         return bool(self.circuit.solver.solve(list(assumptions)))
 
@@ -276,6 +293,20 @@ class ModelFinder:
         enumeration ends, so the clause database stays clean for the next
         query on this finder.
         """
+        for instance, _ in self.instances_reading(
+            (), assumptions, project=project, limit=limit
+        ):
+            yield instance
+
+    def instances_reading(
+        self,
+        literals: Sequence[int],
+        assumptions: Iterable[int] = (),
+        project: list[str] | None = None,
+        limit: int | None = None,
+    ) -> Iterator[tuple[Instance, tuple[bool, ...]]]:
+        """:meth:`instances_assuming`, also handing back the value of
+        each of ``literals`` in the model of every instance."""
         names = (
             project if project is not None else list(self.problem.declarations)
         )
@@ -288,14 +319,21 @@ class ModelFinder:
         ]
         solver = self.circuit.solver
         assume = list(assumptions)
+
+        def current() -> tuple[Instance, tuple[bool, ...]]:
+            # the projected assignment drives enumeration; decoding and
+            # the literal values use the full model, live at yield time
+            values = tuple(
+                solver.model_value(abs(lit)) == (lit > 0) for lit in literals
+            )
+            return self._decode(solver.model()), values
+
         if not proj_vars:
             # no free variables: at most one instance
             if solver.solve(assume):
-                yield self._decode(solver.model())
+                yield current()
             return
         for _ in solver.models(
             project=proj_vars, assumptions=assume, limit=limit
         ):
-            # the projected assignment drives enumeration; decoding uses
-            # the full model, which is still live at yield time
-            yield self._decode(solver.model())
+            yield current()

@@ -20,24 +20,32 @@ from repro.core.synthesis import (
     synthesize,
 )
 from repro.litmus.catalog import CATALOG
+from repro.litmus.execution import Execution
 from repro.models.registry import get_model
 from repro.obs import derive_rates
 from repro.relational.solve import ModelFinder, compile_snapshot
 
-GRID = [("sc", 3), ("tso", 3), ("tso", 4), ("scc", 3)]
+GRID = [
+    ("sc", 3),
+    ("tso", 3),
+    ("tso", 4),
+    ("scc", 3),
+    ("armv8", 3),
+    ("rvwmo", 3),
+    ("sc_vmem", 2),
+    ("tso_vmem", 2),
+]
 
 
 def sample_tests(model_name, bound, limit=25):
+    """Every k-th candidate of the model's default stream at ``bound``
+    (vmem models with their one-alias axis), at most ``limit`` of them:
+    the sample spans the whole stream, so its largest tests are in."""
     model = get_model(model_name)
-    config = EnumerationConfig(
-        max_events=bound, max_addresses=2, max_deps=0, max_rmws=0
-    )
-    out = []
-    for test in enumerate_tests(model.vocabulary, config):
-        out.append(test)
-        if len(out) >= limit:
-            break
-    return out
+    config = SynthesisOptions(bound=bound).resolved_config(model)
+    stream = list(enumerate_tests(model.vocabulary, config))
+    step = -(-len(stream) // limit)
+    return stream[::step]
 
 
 class TestIncrementalEquivalence:
@@ -61,6 +69,60 @@ class TestIncrementalEquivalence:
                 list(oracle.valid_executions(test)),
             ):
                 assert found == sorted(found, key=_execution_key)
+
+    @pytest.mark.parametrize("model_name,bound", GRID)
+    def test_execution_verdicts_match_explicit(self, model_name, bound):
+        """Per execution: membership in each axiom's valid list equals
+        the explicit oracle's axiom bits, and ``is_valid`` equals the
+        explicit verdict."""
+        relational = AlloyOracle(model_name)
+        explicit = ExplicitOracle(get_model(model_name))
+        for test in sample_tests(model_name, bound, limit=50):
+            members = {
+                axiom: set(relational.valid_executions(test, axiom))
+                for axiom in relational.axiom_names()
+            }
+            executions = list(relational.executions(test))
+            assert set(executions) == set(explicit.executions(test)), test
+            for ex in executions:
+                bits = explicit.axiom_bits(ex)
+                assert {
+                    axiom: ex in members[axiom] for axiom in members
+                } == bits, (test, ex)
+                assert relational.is_valid(ex) == explicit.is_valid(ex), (
+                    test,
+                    ex,
+                )
+
+    def test_read_from_another_address_is_invalid(self):
+        """An execution outside the rf bounds (a read sourced by a write
+        to another address) is no execution of the test."""
+        test = CATALOG["MP"].test
+        oracle = AlloyOracle("tso")
+        valid = next(iter(oracle.valid_executions(test)))
+        (read, _), *rest = valid.rf
+        loc = test.location_of(test.instruction(read).address)
+        foreign = next(
+            w
+            for other in test.locations
+            if other != loc
+            for w in test.writes_to(other)
+        )
+        bad = Execution(test, ((read, foreign), *rest), valid.co, valid.sc)
+        assert oracle.is_valid(valid)
+        assert not oracle.is_valid(bad)
+
+    @pytest.mark.parametrize("model_name", ["tso", "sc", "scc"])
+    @pytest.mark.parametrize("name", ["MP", "SB", "IRIW", "CoRW"])
+    def test_analyze_is_one_enumeration(self, model_name, name):
+        """``analyze`` costs one solver query per execution plus the
+        final UNSAT one: every axiom's verdict comes off the enumerated
+        models, with no per-execution query."""
+        oracle = AlloyOracle(model_name)
+        test = CATALOG[name].test
+        oracle.analyze(test)
+        executions = list(oracle.executions(test))
+        assert oracle.as_metrics()["sat_queries"] == len(executions) + 1
 
     def test_executions_and_is_valid_match_explicit(self):
         relational = AlloyOracle("tso")
@@ -137,6 +199,34 @@ class TestModelFinderIncremental:
         sel = finder.selector_for(formula)
         assert finder.selector_for(formula) == sel
 
+    def test_root_literals_agree_with_pinned_queries(self):
+        """A root literal's value in each enumerated model is what a
+        query pinning that model's free tuples decides, constant
+        formulas included."""
+        from repro.alloy.models import tso_formulas
+        from repro.relational import ast
+
+        formulas = [*tso_formulas().values(), ast.TRUE_F, ~ast.TRUE_F]
+        encoding, finder = self._finder("SB")
+        finder.assert_formula(encoding.facts())
+        roots = [finder.root_literal(f) for f in formulas]
+        reference = ModelFinder(encoding.problem)
+        reference.assert_formula(encoding.facts())
+        selectors = [reference.selector_for(f) for f in formulas]
+        found = list(finder.instances_reading(roots))
+        assert found
+        for instance, values in found:
+            pins = [
+                var if t in instance[name] else -var
+                for (name, t), var in reference.tuple_vars.items()
+            ]
+            expected = tuple(
+                reference.check_assuming(pins + ([] if sel is None else [sel]))
+                for sel in selectors
+            )
+            assert values == expected, instance
+            assert values[-2:] == (True, False)
+
     def test_instances_repeatable_and_independent(self):
         encoding, finder = self._finder()
         facts = encoding.facts()
@@ -169,18 +259,18 @@ class TestModelFinderIncremental:
 
         encoding, finder = self._finder()
         finder.assert_formula(encoding.facts())
-        selectors = {
-            name: finder.selector_for(f)
+        roots = {
+            name: finder.root_literal(f)
             for name, f in tso_formulas().items()
         }
         for name in encoding.problem.declarations:
             finder.translator.relation_matrix(name)
-        snapshot = compile_snapshot(finder, selectors)
+        snapshot = compile_snapshot(finder, roots)
 
         rebuilt = ModelFinder(encoding.problem, compiled=snapshot)
-        sels = [sel for _, sel in snapshot.selectors if sel]
+        sels = [sel for _, sel in snapshot.roots if sel]
         assert rebuilt.check_assuming(sels) == finder.check_assuming(
-            [s for s in selectors.values() if s is not None]
+            [s for s in roots.values() if s is not None]
         )
         base = sorted(map(hash, finder.instances_assuming([])))
         again = sorted(map(hash, rebuilt.instances_assuming([])))
@@ -241,6 +331,33 @@ class TestCNFCache:
         c = cache_key("other", CATALOG["MP"].test, False)
         d = cache_key("fp", CATALOG["MP"].test, True)
         assert len({a, b, c, d}) == 4
+
+    def test_schema_2_entry_is_never_loaded(self, tmp_path, monkeypatch):
+        """An entry written under the selector-literal schema (2) is a
+        miss for schema 3, and the SAT008 lint names it as stale."""
+        from repro.alloy import cache as cache_module
+        from repro.analysis import lint_cnf_cache_dir
+
+        cache_dir = tmp_path / "cnf"
+        test = CATALOG["MP"].test
+        with monkeypatch.context() as patch:
+            patch.setattr(cache_module, "CACHE_SCHEMA", 2)
+            AlloyOracle("tso", cnf_cache_dir=str(cache_dir)).analyze(test)
+        (stale,) = [entry.name for entry in cache_dir.iterdir()]
+
+        warm = AlloyOracle("tso", cnf_cache_dir=str(cache_dir))
+        assert warm.analyze(test) == AlloyOracle("tso").analyze(test)
+        assert list(warm.valid_executions(test)) == list(
+            AlloyOracle("tso").valid_executions(test)
+        )
+        assert warm.as_metrics()["compile_disk_hits"] == 0
+
+        stale_findings = [
+            f for f in lint_cnf_cache_dir(str(cache_dir)) if "stale" in f.message
+        ]
+        assert [(f.id, f.subject) for f in stale_findings] == [
+            ("SAT008", f"{cache_dir}:{stale}")
+        ]
 
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
         cache = CNFCache("fp", disk_dir=str(tmp_path))
