@@ -98,7 +98,7 @@ from repro.service import (
     SynthesisRequest,
 )
 
-__version__ = "1.12.0"
+__version__ = "1.13.0"
 
 __all__ = [
     "__version__",

@@ -37,19 +37,20 @@ results back into the sequential order.
 
 There is one work item per unit of a thread-unit pool, so an item must
 not cost the size of its pool: pinning a one-thread first group copies
-nothing (see :func:`_unit_selections`).  What a shard then pays up front
-is building the pools themselves (:func:`thread_units`, one per thread
-size).  :func:`enumerate_shard` takes a ``pools`` mapping so that one
-process builds each pool once for every shard it runs:
-:mod:`repro.exec.runtime` keeps one mapping per worker child (or per
-in-process run), and it lives no longer than the run.
+nothing (see :func:`_unit_selections`).  A pool's order fixes the item
+ordinals, and :func:`thread_units` generates each pool in that order
+(:meth:`ThreadUnit.sort_key`) instead of sorting it, so a pool costs
+about one step per unit.  :func:`enumerate_shard` takes a ``pools``
+mapping so that one process builds each pool once for every shard it
+runs: :mod:`repro.exec.runtime` keeps one mapping per worker child (or
+per in-process run), and it lives no longer than the run.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 
 from repro.litmus.events import (
     DepKind,
@@ -115,20 +116,29 @@ class ThreadUnit:
         return len(self.instructions)
 
     def sort_key(self) -> tuple:
+        """The order of a :func:`thread_units` pool (which never computes
+        it: the pool is generated in this order)."""
         return (
-            tuple(
-                (
-                    i.kind.value,
-                    -1 if i.address is None else i.address,
-                    int(i.order),
-                    i.fence.value if i.fence else "",
-                    -1 if i.value is None else i.value,
-                )
-                for i in self.instructions
-            ),
+            tuple(_instruction_key(i) for i in self.instructions),
             self.rmw,
-            tuple((s, d, k.value) for s, d, k in self.deps),
+            tuple(_dep_key(dep) for dep in self.deps),
         )
+
+
+def _instruction_key(i: Instruction) -> tuple:
+    """The per-instruction part of :meth:`ThreadUnit.sort_key`.  It omits
+    the scope, so an instruction's scoped variants tie on it."""
+    return (
+        i.kind.value,
+        -1 if i.address is None else i.address,
+        int(i.order),
+        i.fence.value if i.fence else "",
+        -1 if i.value is None else i.value,
+    )
+
+
+def _dep_key(dep: tuple[int, int, DepKind]) -> tuple[int, int, str]:
+    return dep[0], dep[1], dep[2].value
 
 
 def slot_choices(
@@ -212,37 +222,102 @@ def _dep_subset_ok(subset: tuple[tuple[int, int, DepKind], ...]) -> bool:
 def thread_units(
     size: int, vocab: Vocabulary, config: EnumerationConfig
 ) -> list[ThreadUnit]:
-    """Every thread of ``size`` instructions over the vocabulary."""
+    """Every thread of ``size`` instructions over the vocabulary, in
+    :meth:`ThreadUnit.sort_key` order.
+
+    The pool is generated in that order, not sorted: the instruction
+    sequences are walked as the product of the sorted per-instruction
+    keys, and a sequence's (rmw, deps) overlays, which depend only on
+    its shape (:func:`_shape`), are listed in order once per shape
+    (:func:`_overlays`).  Sequences that tie on every key (a scoped
+    model's scope variants) expand in product order under each
+    overlay, where a stable sort of the generated units leaves them.
+    """
+    tied: dict[tuple, list[Instruction]] = {}
+    for inst in slot_choices(vocab, config):
+        tied.setdefault(_instruction_key(inst), []).append(inst)
+    slots = [
+        (tuple(members), _shape(members[0]))
+        for _, members in sorted(tied.items())
+    ]
+    positions = [slots] * size
+    if not config.allow_boundary_fences:
+        # no fence first or last in a thread (paper §6.3)
+        ends = [slot for slot in slots if not slot[0][0].is_fence]
+        positions[0] = positions[-1] = ends
+    overlays: dict[tuple, list] = {}
     units: list[ThreadUnit] = []
-    choices = slot_choices(vocab, config)
-    for seq in product(choices, repeat=size):
-        if not config.allow_boundary_fences:
-            if seq[0].is_fence or seq[-1].is_fence:
-                continue
-        rmw_cands = rmw_candidates(seq) if vocab.allows_rmw else []
-        dep_cands = dep_candidates(seq, vocab)
-        rmw_subsets: list[tuple[tuple[int, int], ...]] = [()]
-        for k in range(1, config.max_rmws + 1):
-            for combo in combinations(rmw_cands, k):
-                if _non_overlapping(combo):
-                    rmw_subsets.append(combo)
-        dep_subsets: list[tuple[tuple[int, int, DepKind], ...]] = [()]
-        for k in range(1, config.max_deps + 1):
-            for combo in combinations(dep_cands, k):
-                if _dep_subset_ok(combo):
-                    dep_subsets.append(combo)
-        for rmw in rmw_subsets:
-            rmw_pairs = set(rmw)
-            for deps in dep_subsets:
-                # A data dep duplicating an rmw pairing adds nothing.
-                if any(
-                    (s, d) in rmw_pairs and k is DepKind.DATA
-                    for s, d, k in deps
-                ):
-                    continue
+    for combo in product(*positions):
+        members, shape = zip(*combo)
+        shape_overlays = overlays.get(shape)
+        if shape_overlays is None:
+            shape_overlays = overlays[shape] = _overlays(
+                tuple(tie[0] for tie in members), vocab, config
+            )
+        seqs = list(product(*members))
+        for rmw, deps in shape_overlays:
+            for seq in seqs:
                 units.append(ThreadUnit(seq, rmw, deps))
-    units.sort(key=ThreadUnit.sort_key)
     return units
+
+
+def _shape(inst: Instruction) -> tuple:
+    """What :func:`rmw_candidates` and :func:`dep_candidates` read of
+    an instruction."""
+    return (inst.is_read, inst.is_write, inst.is_fence, inst.address)
+
+
+def _overlays(
+    seq: tuple[Instruction, ...], vocab: Vocabulary, config: EnumerationConfig
+) -> list[tuple[tuple, tuple]]:
+    """Every (rmw, deps) overlay of one instruction sequence, in
+    :meth:`ThreadUnit.sort_key` order."""
+    rmw_subsets = _subsets(
+        rmw_candidates(seq) if vocab.allows_rmw else [],
+        config.max_rmws,
+        _non_overlapping,
+    )
+    dep_subsets = _subsets(
+        sorted(dep_candidates(seq, vocab), key=_dep_key),
+        config.max_deps,
+        _dep_subset_ok,
+    )
+    out = []
+    for rmw in rmw_subsets:
+        rmw_pairs = set(rmw)
+        for deps in dep_subsets:
+            # A data dep duplicating an rmw pairing adds nothing.
+            if any(
+                (s, d) in rmw_pairs and k is DepKind.DATA
+                for s, d, k in deps
+            ):
+                continue
+            out.append((rmw, deps))
+    return out
+
+
+def _subsets(
+    cands: list, max_size: int, ok: Callable[[tuple], bool]
+) -> list[tuple]:
+    """``()`` and every subset of ``cands`` with at most ``max_size``
+    members that ``ok`` accepts, as tuples in the order of ``cands``.
+
+    A depth-first walk lists the subsets in tuple order when ``cands``
+    is sorted; ``ok`` must reject every extension of a subset it
+    rejects, so the walk prunes there.
+    """
+    out: list[tuple] = []
+    stack: list[tuple[tuple, int]] = [((), 0)]
+    while stack:
+        prefix, start = stack.pop()
+        out.append(prefix)
+        if len(prefix) < max_size:
+            # pushed last to first, so popped in order
+            for i in range(len(cands) - 1, start - 1, -1):
+                subset = prefix + (cands[i],)
+                if ok(subset):
+                    stack.append((subset, i + 1))
+    return out
 
 
 def _non_overlapping(pairs: tuple[tuple[int, int], ...]) -> bool:

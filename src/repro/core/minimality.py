@@ -196,6 +196,10 @@ class MinimalityChecker:
     def _check_exact(
         self, test: LitmusTest, axioms: Sequence[str | None]
     ) -> dict[str | None, MinimalityResult]:
+        """Fig. 5b for every axiom in one filter walk over the
+        applications.  Each relaxed test is built when the walk reaches
+        its application, so a candidate blocked early builds only the
+        relaxed tests up to its blocking application."""
         analysis = self.oracle.analyze(test)
         forbidden = {axiom: analysis.forbidden(axiom) for axiom in axioms}
         counts = {axiom: len(outcomes) for axiom, outcomes in forbidden.items()}
@@ -204,9 +208,6 @@ class MinimalityChecker:
         if not candidates or not apps:
             return _results(test, counts, len(apps), {}, {}, [])
         vocab = self.model.vocabulary
-        relaxed_tests = [
-            relax.apply(test, app, vocab) for relax, app in apps
-        ]
         # Filter the forbidden outcomes application by application: an
         # outcome survives only if every relaxation renders it observable.
         # Iterating applications outermost fails fast — one unhelpful
@@ -217,7 +218,10 @@ class MinimalityChecker:
         surviving = sorted(candidates, key=_outcome_key)
         pending = [axiom for axiom in forbidden if forbidden[axiom]]
         blocking: dict[str | None, tuple[str, int, str]] = {}
-        for (relax, app), relaxed in zip(apps, relaxed_tests):
+        relaxed_tests: list[RelaxedTest] = []
+        for relax, app in apps:
+            relaxed = relax.apply(test, app, vocab)
+            relaxed_tests.append(relaxed)
             surviving = [
                 outcome
                 for outcome in surviving
@@ -267,9 +271,8 @@ class MinimalityChecker:
         if not apps:
             return _results(test, forbidden_seen, 0, {}, {}, [])
         vocab = self.model.vocabulary
-        relaxed_tests = [
-            relax.apply(test, app, vocab) for relax, app in apps
-        ]
+        # built the first time a walk reaches their application
+        relaxed_tests: list[RelaxedTest] = []
         witnesses: dict[str | None, Outcome] = {}
         blocking: dict[str | None, tuple[str, int, str]] = {}
         pending = list(forbidden_seen)
@@ -281,7 +284,10 @@ class MinimalityChecker:
             # The perturbation walk does not depend on the axiom: one walk
             # answers every axiom this execution violates.
             block = None
-            for (relax, app), relaxed in zip(apps, relaxed_tests):
+            for index, (relax, app) in enumerate(apps):
+                if index == len(relaxed_tests):
+                    relaxed_tests.append(relax.apply(test, app, vocab))
+                relaxed = relaxed_tests[index]
                 pview = self.model.view(perturb_execution(execution, relaxed))
                 if not whole_model(pview):
                     block = (relax.name, app.target, app.detail)
@@ -310,7 +316,12 @@ def _results(
     blocking: dict[str | None, tuple[str, int, str]],
     relaxed_tests: list[RelaxedTest],
 ) -> dict[str | None, MinimalityResult]:
-    """One :class:`MinimalityResult` per axiom of a single pass."""
+    """One :class:`MinimalityResult` per axiom of a single pass.
+
+    ``relaxed_tests`` holds the relaxed tests the pass built, a prefix
+    of the applications.  A minimal axiom's walk was never blocked, so
+    it reached every application and the prefix is complete.
+    """
     relaxed = tuple(r.test for r in relaxed_tests)
     return {
         axiom: MinimalityResult(

@@ -184,7 +184,9 @@ def _resident_main(task: ResidentTask, conn: Any) -> None:
 
 
 def _stop_child(proc: Any, conn: Any, graceful: bool = True) -> None:
-    """Stop one child: the shutdown sentinel if idle, else terminate."""
+    """Stop one child: the shutdown sentinel if idle, else terminate,
+    and kill a child that outlives its SIGTERM (a job that ignores the
+    signal, or a ``SystemExit`` swallowed inside a ``__del__``)."""
     if graceful:
         with contextlib.suppress(OSError):  # already gone
             conn.send(None)
@@ -193,6 +195,9 @@ def _stop_child(proc: Any, conn: Any, graceful: bool = True) -> None:
     if proc.is_alive():
         proc.terminate()
         proc.join(timeout=_STOP_TIMEOUT)
+    if proc.is_alive():
+        proc.kill()
+        proc.join()
 
 
 class ResidentProcess:

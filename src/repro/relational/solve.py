@@ -229,18 +229,6 @@ class ModelFinder:
             for name in names:
                 self.translator.relation_matrix(name)
 
-    def _decode(self, model: dict[int, bool]) -> Instance:
-        relations: dict[str, frozenset[tuple[int, ...]]] = {}
-        self._ensure_allocated(self.problem.declarations)
-        for name, decl in self.problem.declarations.items():
-            tuples = set(decl.lower)
-            for t in decl.free:
-                var = self.tuple_vars.get((name, t))
-                if var is not None and model.get(var, False):
-                    tuples.add(t)
-            relations[name] = frozenset(tuples)
-        return Instance(relations)
-
     # -- queries ----------------------------------------------------------------
 
     def solve(self, formula: ast.Formula) -> Instance | None:
@@ -306,7 +294,12 @@ class ModelFinder:
         limit: int | None = None,
     ) -> Iterator[tuple[Instance, tuple[bool, ...]]]:
         """:meth:`instances_assuming`, also handing back the value of
-        each of ``literals`` in the model of every instance."""
+        each of ``literals`` in the model of every instance.
+
+        An instance holds the projected relations only, decoded from the
+        projected assignment; ``project=None`` projects, and so decodes,
+        every declared relation.
+        """
         names = (
             project if project is not None else list(self.problem.declarations)
         )
@@ -317,23 +310,39 @@ class ModelFinder:
             for (name, _), var in sorted(self.tuple_vars.items())
             if name in names_set
         ]
+        # per projected relation: its lower bound and each free tuple's
+        # variable (a rebuilt finder has only the ones it compiled)
+        layout = []
+        for name in names:
+            decl = self.problem.declaration(name)
+            free = [
+                (t, self.tuple_vars[name, t])
+                for t in decl.free
+                if (name, t) in self.tuple_vars
+            ]
+            layout.append((name, decl.lower, free))
         solver = self.circuit.solver
         assume = list(assumptions)
 
-        def current() -> tuple[Instance, tuple[bool, ...]]:
-            # the projected assignment drives enumeration; decoding and
-            # the literal values use the full model, live at yield time
+        def current(
+            assignment: dict[int, bool]
+        ) -> tuple[Instance, tuple[bool, ...]]:
+            # the literal values read the full model, live at yield time
             values = tuple(
                 solver.model_value(abs(lit)) == (lit > 0) for lit in literals
             )
-            return self._decode(solver.model()), values
+            relations = {
+                name: lower.union(t for t, var in free if assignment[var])
+                for name, lower, free in layout
+            }
+            return Instance(relations), values
 
         if not proj_vars:
             # no free variables: at most one instance
             if solver.solve(assume):
-                yield current()
+                yield current({})
             return
-        for _ in solver.models(
+        for assignment in solver.models(
             project=proj_vars, assumptions=assume, limit=limit
         ):
-            yield current()
+            yield current(assignment)

@@ -1,17 +1,25 @@
 """Candidate enumeration tests."""
 
+from dataclasses import replace
+from itertools import combinations, product
+
 import pytest
 
 from repro.analysis import LitmusLintContext, Severity, run_family
+from repro.core.canonical import canonical_form
 from repro.core.enumerator import (
     EnumerationConfig,
+    ThreadUnit,
     count_tests,
+    dep_candidates,
     enumerate_tests,
+    rmw_candidates,
+    slot_choices,
     thread_units,
 )
-from repro.core.canonical import canonical_form
 from repro.core.synthesis import SynthesisOptions
 from repro.litmus.catalog import CATALOG
+from repro.litmus.events import DepKind
 from repro.models.registry import available_models, get_model
 
 TSO = get_model("tso").vocabulary
@@ -65,6 +73,67 @@ class TestThreadUnits:
         units = thread_units(2, TSO, cfg(max_addresses=2))
         keys = [u.sort_key() for u in units]
         assert keys == sorted(keys)
+
+
+def sorted_pool(size, vocab, config):
+    """The reference pool: every unit generated sequence by sequence,
+    then stably sorted by :meth:`ThreadUnit.sort_key`."""
+    units = []
+    for seq in product(slot_choices(vocab, config), repeat=size):
+        if not config.allow_boundary_fences:
+            if seq[0].is_fence or seq[-1].is_fence:
+                continue
+        rmw_cands = rmw_candidates(seq) if vocab.allows_rmw else []
+        dep_cands = dep_candidates(seq, vocab)
+        rmw_subsets = [()]
+        for k in range(1, config.max_rmws + 1):
+            for combo in combinations(rmw_cands, k):
+                used = [i for pair in combo for i in pair]
+                if len(used) == len(set(used)):
+                    rmw_subsets.append(combo)
+        dep_subsets = [()]
+        for k in range(1, config.max_deps + 1):
+            for combo in combinations(dep_cands, k):
+                if len({(s, d) for s, d, _ in combo}) == len(combo):
+                    dep_subsets.append(combo)
+        for rmw in rmw_subsets:
+            for deps in dep_subsets:
+                if any(
+                    (s, d) in rmw and k is DepKind.DATA for s, d, k in deps
+                ):
+                    continue
+                units.append(ThreadUnit(seq, rmw, deps))
+    units.sort(key=ThreadUnit.sort_key)
+    return units
+
+
+class TestPoolOrder:
+    """``thread_units`` generates each pool in sort order; it must equal
+    the sorted pool element for element, or work-item ordinals and
+    saved checkpoints move."""
+
+    @pytest.mark.parametrize(
+        "model_name,size",
+        [(name, size) for name in available_models() for size in (1, 2, 3)]
+        + [("power", 4)],
+    )
+    def test_pool_equals_the_sorted_pool(self, model_name, size):
+        model = get_model(model_name)
+        config = SynthesisOptions(bound=max(size, 3)).resolved_config(model)
+        assert thread_units(size, model.vocabulary, config) == sorted_pool(
+            size, model.vocabulary, config
+        )
+
+    def test_pool_with_boundary_fences_equals_the_sorted_pool(self):
+        # OpenCL's scoped fences tie on the key at either end as well
+        model = get_model("opencl")
+        config = replace(
+            SynthesisOptions(bound=3).resolved_config(model),
+            allow_boundary_fences=True,
+        )
+        assert thread_units(3, model.vocabulary, config) == sorted_pool(
+            3, model.vocabulary, config
+        )
 
 
 class TestEnumerateTests:

@@ -7,9 +7,10 @@ unsharded stream, and re-sorting shard outputs by their global
 order — both are what the parallel merge relies on.
 
 The ``(item, test)`` stream itself is pinned by digest for every
-registered model at bound 3: a checkpoint stores records by work-item
-ordinal, so an enumerator change that reorders candidates or moves
-ordinals must fail here, not in a resumed run.
+registered model at bound 3, and for power at bound 4: a checkpoint
+stores records by work-item ordinal, so an enumerator change that
+reorders candidates or moves ordinals must fail here, not in a resumed
+run.
 """
 
 import hashlib
@@ -55,6 +56,12 @@ STREAM_DIGESTS = {
     "tso": "3835a7835d53ffa318c097a8a491999126858ed49657c79bb18ac4f4f539ec92",
     "tso_vmem": "9882f9fa8ea2bed58ae516d75b4ba4127c24c01f3a893d7d78781049fd0a1537",
 }
+
+#: the same digest of power at bound 4: 5,646 candidates, over Power's
+#: four dependency kinds
+POWER_4_STREAM_DIGEST = (
+    "1870fd00e092b5689a6c80a3314dc798a92a47c90c716292115b82c440a8a88f"
+)
 
 
 def _config(bound: int) -> EnumerationConfig:
@@ -147,3 +154,6 @@ class TestStreamPin:
     @pytest.mark.parametrize("model_name", sorted(STREAM_DIGESTS))
     def test_bound_3_stream_matches_its_digest(self, model_name):
         assert stream_digest(model_name, 3) == STREAM_DIGESTS[model_name]
+
+    def test_power_bound_4_stream_matches_its_digest(self):
+        assert stream_digest("power", 4) == POWER_4_STREAM_DIGEST

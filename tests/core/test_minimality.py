@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core.minimality import MinimalityChecker
+from repro.core.minimality import CriterionMode, MinimalityChecker
 from repro.litmus.catalog import CATALOG
-from repro.litmus.events import Order, read, write
+from repro.litmus.events import FenceKind, Order, fence, read, write
 from repro.litmus.test import LitmusTest
 from repro.models.registry import get_model
 
@@ -135,3 +135,57 @@ class TestEdgeCases:
     def test_relaxed_tests_recorded_for_witness(self, tso_checker):
         result = tso_checker.check(CATALOG["MP"].test)
         assert len(result.relaxed_tests) == result.application_count
+
+
+class TestLazyRelaxedTests:
+    """A relaxed test is built only when the criterion's walk reaches
+    its application, in every criterion mode."""
+
+    @staticmethod
+    def spied_checker(mode, monkeypatch):
+        checker = MinimalityChecker(get_model("sc"), mode)
+        built = []
+        for relax in checker.relaxations:
+            def apply(test, app, vocab, _apply=relax.apply):
+                built.append(app)
+                return _apply(test, app, vocab)
+
+            monkeypatch.setattr(relax, "apply", apply)
+        return checker, built
+
+    @pytest.mark.parametrize(
+        "mode", [CriterionMode.EXACT, CriterionMode.EXECUTION]
+    )
+    def test_blocked_by_the_first_application_builds_one(
+        self, mode, monkeypatch
+    ):
+        checker, built = self.spied_checker(mode, monkeypatch)
+        # SB with a leading fence: removing the fence keeps SB forbidden
+        test = LitmusTest(
+            (
+                (fence(FenceKind.MFENCE), write(0, 1), read(1)),
+                (write(1, 1), read(0)),
+            )
+        )
+        result = checker.check(test)
+        relax, app = checker.applications(test)[0]
+        assert not result.is_minimal and result.forbidden_count > 0
+        assert result.blocking == (relax.name, app.target, app.detail)
+        assert result.application_count > 1
+        assert built == [app]
+
+    @pytest.mark.parametrize(
+        "mode", [CriterionMode.EXACT, CriterionMode.EXECUTION]
+    )
+    def test_minimal_holds_every_relaxed_test(self, mode, monkeypatch):
+        checker, built = self.spied_checker(mode, monkeypatch)
+        test = CATALOG["MP"].test
+        result = checker.check(test)
+        assert result.is_minimal
+        assert len(result.relaxed_tests) == result.application_count
+        assert len(built) == result.application_count
+        vocab = checker.model.vocabulary
+        assert list(result.relaxed_tests) == [
+            relax.apply(test, app, vocab).test
+            for relax, app in checker.applications(test)
+        ]

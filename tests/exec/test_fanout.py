@@ -1,5 +1,6 @@
 """Generic deterministic shard fan-out (repro.exec.fanout)."""
 
+import importlib
 import os
 import signal
 import subprocess
@@ -11,6 +12,9 @@ import pytest
 
 import repro
 from repro.exec.fanout import ResidentProcess, ResidentTask, run_fanout
+
+# the package re-exports the function under the module's name
+fanout_module = importlib.import_module("repro.exec.fanout")
 
 
 # Module-level so the children can pickle them by reference under both
@@ -89,6 +93,11 @@ def _nap(directory, shard_index, emit):
     with open(os.path.join(directory, f"{os.getpid()}.pid"), "w"):
         pass
     time.sleep(60)
+
+
+def _nap_ignoring_sigterm(state, directory, emit):
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    _nap(directory, 0, emit)
 
 
 def _fan_out_naps(state, directory, emit):
@@ -178,3 +187,23 @@ class TestChildFailures:
             while _alive(int(path.stem)):
                 assert time.monotonic() < deadline, "a grandchild outlived it"
                 time.sleep(0.05)
+
+    def test_busy_child_that_ignores_sigterm_does_not_outlive_close(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(fanout_module, "_STOP_TIMEOUT", 0.2)
+        proc = ResidentProcess(
+            ResidentTask(_no_state, _nap_ignoring_sigterm, None)
+        )
+        proc.send(str(tmp_path))
+        pid = proc.pid
+        try:
+            deadline = time.monotonic() + 30
+            while not list(tmp_path.glob("*.pid")):
+                assert time.monotonic() < deadline, "the job never started"
+                time.sleep(0.05)
+            proc.close()  # busy, and SIGTERM is ignored
+            assert not _alive(pid)
+        finally:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)

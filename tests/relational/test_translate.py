@@ -154,6 +154,23 @@ class TestFreeRelations:
         )
         assert len(instances) == 2
 
+    def test_projected_instance_holds_only_projected_relations(self):
+        problem = Problem(2)
+        problem.declare("r", upper={(0, 1), (1, 0)}, lower={(1, 0)})
+        problem.declare("q", upper={(1, 0)})
+        problem.constant("k", {(0, 0)})
+        mf = ModelFinder(problem)
+        projected = list(mf.instances(ast.TRUE_F, project=["r"]))
+        assert all(set(i.relations) == {"r"} for i in projected)
+        assert sorted(sorted(i["r"]) for i in projected) == [
+            [(0, 1), (1, 0)],
+            [(1, 0)],
+        ]
+        full = list(mf.instances(ast.TRUE_F))
+        assert len(full) == 4
+        assert all(set(i.relations) == {"r", "q", "k"} for i in full)
+        assert all(i["k"] == {(0, 0)} for i in full)
+
     def test_one_and_lone(self):
         problem = Problem(2)
         problem.declare("r", upper={(0, 1), (1, 0)})
